@@ -10,7 +10,6 @@ given the config and seeds. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -96,6 +95,8 @@ def _explainer_config(cfg: dict) -> tuple[itshap_mod.ExplainerConfig, dict]:
         "max_patients": section.pop("max_patients", 50),
         "steps": section.pop("steps", "final"),
     }
+    if extras["steps"] not in ("final", "all"):
+        raise ConfigError(f"itshap steps must be 'final' or 'all', got {extras['steps']!r}")
     try:
         return itshap_mod.ExplainerConfig(**section), extras
     except TypeError as exc:
@@ -131,15 +132,6 @@ def save_heatmap_pgm(matrix: np.ndarray, path: Path) -> None:
     Path(str(path) + ".scale.txt").write_text(
         f"min {repr(lo)}\nmax {repr(hi)}\n"
     )
-
-
-def _save_step_table(table: eval_mod.StepTable, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "t", "value"])
-        for m in eval_mod.METRICS:
-            for t, v in enumerate(table[m]):
-                writer.writerow([m, t + 1, "" if v is None else repr(float(v))])
 
 
 def cmd_synth(cfg: dict, args) -> int:
@@ -189,7 +181,10 @@ def cmd_train(cfg: dict, args) -> int:
             trained = model_mod.train(train_c, tcfg, use_attention=(variant == "attention"))
             model_mod.save_model(trained, out / f"ckpt_{variant}_seed{seed}.txt")
             table = eval_mod.evaluate(trained, test_c, threshold)
-            _save_step_table(table, out / f"run_{variant}_seed{seed}.csv")
+            header = ["metric", "t", "value"]
+            data_mod.write_long_csv(out / f"run_{variant}_seed{seed}.csv", [header] + [
+                [m, t + 1, v] for m in eval_mod.METRICS for t, v in enumerate(table[m])
+            ])
             runs[variant].append(table)
             print(f"seed {seed} variant {variant}: trained and evaluated")
 
@@ -201,27 +196,6 @@ def cmd_train(cfg: dict, args) -> int:
     return 0
 
 
-def _aggregate_attention(model, cohort, scope):
-    total = None
-    counts = None
-    for p in cohort.patients:
-        if scope == "positive" and not p.is_positive:
-            continue
-        if scope == "negative" and p.is_positive:
-            continue
-        A = model_mod.attention_matrix(p.X * p.M, model.attention)
-        valid = (p.M == 1.0) & p.valid_steps()[None, :]
-        if total is None:
-            total = np.zeros_like(A)
-            counts = np.zeros(A.shape, dtype=np.int64)
-        total[valid] += A[valid]
-        counts += valid
-    if total is None:
-        raise DataError(f"no patients in scope {scope!r}")
-    W = np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
-    return W, counts
-
-
 def cmd_explain(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     seeds = _seeds(cfg, args)
@@ -231,14 +205,7 @@ def cmd_explain(cfg: dict, args) -> int:
     names = cohort.schema.names
 
     if method == "cmi":
-        sub = [
-            p for p in cohort.patients
-            if scope == "all"
-            or (scope == "positive") == p.is_positive
-        ]
-        if not sub:
-            raise DataError(f"no patients in scope {scope!r}")
-        scoped = data_mod.Cohort(cohort.schema, sub, cohort.T)
+        scoped = cohort.subset(cohort.scope_indices(scope))
         ccfg = _cmi_config(cfg)
         scores = cmi_mod.cmi_feature_scores(scoped, ccfg)
         selection = None
@@ -263,14 +230,17 @@ def cmd_explain(cfg: dict, args) -> int:
     if method == "attention":
         if trained.attention is None:
             raise ConfigError("attention explanation requested on a no-attention checkpoint")
-        W, counts = _aggregate_attention(trained, cohort, scope)
-        agg = itshap_mod.ImportanceMatrix(
-            W=W, base=np.zeros(cohort.T), method="attention", scope=scope,
-            n_valid=counts,
-        )
+        maps = [
+            itshap_mod.ImportanceMatrix(
+                W=model_mod.attention_matrix(p.X * p.M, trained.attention),
+                base=np.zeros(cohort.T), method="attention", patient_id=p.id,
+            )
+            for p in cohort.patients
+        ]
+        agg = itshap_mod.aggregate_by_class(maps, cohort, scope)
         path = out / f"importance_attention_{scope}.csv"
         itshap_mod.save_aggregate(agg, names, path)
-        save_heatmap_pgm(W, out / f"importance_attention_{scope}.pgm")
+        save_heatmap_pgm(agg.W, out / f"importance_attention_{scope}.pgm")
         print(f"wrote {path}")
         return 0
 
@@ -351,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="emit importance matrices")
     common(p)
     p.add_argument("--method", choices=["cmi", "attention", "itshap"], required=True)
-    p.add_argument("--scope", choices=["all", "positive", "negative"], default="all")
+    p.add_argument("--scope", choices=data_mod.SCOPES, default="all")
     p.add_argument("--attention", choices=["on", "off"], default="off",
                    help="which checkpoint itshap explains")
     p = sub.add_parser("report", help="model-comparison delta report")

@@ -8,13 +8,12 @@ step label, using only samples observed under the validity mask.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import Cohort
+from .data import Cohort, write_long_csv
 from .errors import ConfigError, DataError
 
 MIN_VALID_SAMPLES = 10
@@ -235,13 +234,9 @@ def select_features(s: CmiScores, cfg: CmiConfig) -> np.ndarray:
 def save_scores(s: CmiScores, selection: Optional[np.ndarray], feature_names, path) -> None:
     """Write `feature,t,score_bits,n_valid,selected` rows."""
     F, T = s.S.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "t", "score_bits", "n_valid", "selected"])
-        for f in range(F):
-            for t in range(T):
-                sel = "" if selection is None else str(int(selection[f, t]))
-                writer.writerow(
-                    [feature_names[f], t + 1, repr(float(s.S[f, t])),
-                     int(s.valid_counts[f, t]), sel]
-                )
+    header = ["feature", "t", "score_bits", "n_valid", "selected"]
+    write_long_csv(path, [header] + [
+        [feature_names[f], t + 1, s.S[f, t], int(s.valid_counts[f, t]),
+         None if selection is None else str(int(selection[f, t]))]
+        for f in range(F) for t in range(T)
+    ])

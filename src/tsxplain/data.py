@@ -15,11 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError
 from .numerics import RngStream, sigmoid
 
 KINDS = ("binary", "numeric")
 GROUPS = ("previous_culture", "antibiotic", "environment", "care")
+SCOPES = ("all", "positive", "negative")
 
 DEFAULT_T = 14
 
@@ -114,6 +115,19 @@ class Cohort:
 
     def subset(self, indices) -> "Cohort":
         return Cohort(self.schema, [self.patients[i] for i in indices], self.T)
+
+    def scope_indices(self, scope: str) -> list[int]:
+        """Indices of the patients in scope: "all", "positive" (ever turns
+        positive) or "negative" (never does)."""
+        if scope not in SCOPES:
+            raise ConfigError(f"unknown scope {scope!r}")
+        picked = [
+            i for i, p in enumerate(self.patients)
+            if scope == "all" or p.is_positive == (scope == "positive")
+        ]
+        if not picked:
+            raise DataError(f"no patients in scope {scope!r}")
+        return picked
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return (X, M, y, valid) stacked over patients, shapes (n,F,T)/(n,T)."""
@@ -362,8 +376,9 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
 
 
 # ---------------------------------------------------------------------------
-# File formats: schema (key-value blocks) and cohort CSV (one row per
-# patient-day, empty feature cell = masked, empty label = day beyond stay).
+# File formats: schema (key-value blocks), cohort CSV (one row per
+# patient-day, empty feature cell = masked, empty label = day beyond stay) and
+# the long-format CSV shared by every score, attribution and metric artefact.
 # ---------------------------------------------------------------------------
 
 
@@ -400,6 +415,20 @@ def load_schema(path) -> FeatureSchema:
         key, value = line.split(":", 1)
         current[key.strip()] = value.strip()
     return FeatureSchema(tuple(feats))
+
+
+def write_long_csv(path, rows) -> None:
+    """Write a long-format CSV artefact, header rows included. Floats are
+    written as ``repr`` so ``float(cell)`` restores them bit-exactly, ``None``
+    (an undefined value) becomes an empty cell, and ints and strings are
+    written unchanged."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([
+                repr(float(v)) if isinstance(v, float) else ("" if v is None else v)
+                for v in row
+            ])
 
 
 def _format_cell(value: float) -> str:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Cohort
+from .data import Cohort, write_long_csv
 from .errors import DataError
 from .model import TrainedModel, forward_prepared
 
@@ -163,20 +163,15 @@ def delta_report(
 
 
 def save_metric_series(series: dict[str, MetricSeries], path) -> None:
-    """Write `metric,t,mean,std,n_defined` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "t", "mean", "std", "n_defined"])
-        for m in METRICS:
-            s = series[m]
-            for t in range(s.mean.shape[0]):
-                if s.defined[t]:
-                    writer.writerow(
-                        [m, t + 1, repr(float(s.mean[t])), repr(float(s.std[t])),
-                         int(s.n_defined[t])]
-                    )
-                else:
-                    writer.writerow([m, t + 1, "", "", int(s.n_defined[t])])
+    """Write `metric,t,mean,std,n_defined` rows; mean and std stay empty at
+    undefined steps."""
+    rows = [["metric", "t", "mean", "std", "n_defined"]]
+    for m in METRICS:
+        s = series[m]
+        for t in range(s.mean.shape[0]):
+            mean, std = (s.mean[t], s.std[t]) if s.defined[t] else (None, None)
+            rows.append([m, t + 1, mean, std, int(s.n_defined[t])])
+    write_long_csv(path, rows)
 
 
 def load_metric_series(path) -> dict[str, MetricSeries]:
@@ -211,17 +206,14 @@ def load_metric_series(path) -> dict[str, MetricSeries]:
 def save_delta_report(report: DeltaReport, path) -> None:
     """Write `metric,t,mean_delta,std_delta` rows with the sign convention in
     a header comment row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"# sign convention: {report.sign_convention}"])
-        writer.writerow(["metric", "t", "mean_delta", "std_delta"])
-        for m in METRICS:
-            md = report.mean_delta[m]
-            sd = report.std_delta[m]
-            for t in range(md.shape[0]):
-                if report.defined[m][t]:
-                    writer.writerow(
-                        [m, t + 1, repr(float(md[t])), repr(float(sd[t]))]
-                    )
-                else:
-                    writer.writerow([m, t + 1, "", ""])
+    rows = [
+        [f"# sign convention: {report.sign_convention}"],
+        ["metric", "t", "mean_delta", "std_delta"],
+    ]
+    for m in METRICS:
+        for t, defined in enumerate(report.defined[m]):
+            if defined:
+                rows.append([m, t + 1, report.mean_delta[m][t], report.std_delta[m][t]])
+            else:
+                rows.append([m, t + 1, None, None])
+    write_long_csv(path, rows)

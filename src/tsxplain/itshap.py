@@ -14,7 +14,6 @@ attributions sum to the explained output exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Cohort
-from .errors import ConfigError, DataError, NotTrainedError, ShapeError
+from .data import Cohort, write_long_csv
+from .errors import ConfigError, DataError, NotTrainedError
 from .model import TrainedModel, forward_prepared
 from .numerics import RngStream, weighted_least_squares
 
@@ -48,13 +47,6 @@ class ExplainerConfig:
             raise ConfigError("ridge must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Coalition:
-    z: np.ndarray  # bool (m,)
-    players: tuple  # step indices (timestep mode) or (f, step) pairs (cell mode)
-    mode: str
-
-
 @dataclass
 class StepExplanation:
     weights: np.ndarray  # (m,) attribution per player
@@ -65,7 +57,7 @@ class StepExplanation:
 
 @dataclass
 class ImportanceMatrix:
-    W: np.ndarray  # (F, T); zeros at invalid cells
+    W: np.ndarray  # (F, T); aggregation reads only valid (observed, in-stay) cells
     base: np.ndarray  # (T,) per explained output step
     method: str
     scope: str = "all"
@@ -101,31 +93,6 @@ def cell_players(M: np.ndarray, t: int) -> tuple:
     return tuple(
         (f, tau) for tau in range(t) for f in range(M.shape[0]) if M[f, tau] == 1.0
     )
-
-
-def perturb(
-    X: np.ndarray, M: np.ndarray, coalition: Coalition, t: int, B: np.ndarray
-) -> np.ndarray:
-    """Assemble the model input for a coalition: active players keep the
-    masked original value, deactivated ones take the background value."""
-    X = np.asarray(X, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
-    if X.shape != M.shape or X.shape != B.shape:
-        raise ShapeError("X, M, B must share shape (F, T)")
-    if not (1 <= t <= X.shape[1]):
-        raise DataError(f"step {t} outside 1..{X.shape[1]}")
-    if len(coalition.z) != len(coalition.players):
-        raise DataError("coalition vector length does not match players")
-    out = (X * M)[:, :t].copy()
-    if coalition.mode == "timestep":
-        for j, tau in enumerate(coalition.players):
-            if not coalition.z[j]:
-                out[:, tau] = B[:, tau]
-    else:
-        for j, (f, tau) in enumerate(coalition.players):
-            if not coalition.z[j]:
-                out[f, tau] = B[f, tau]
-    return out
 
 
 def shap_kernel_weight(players: int, coalition_size: int) -> float:
@@ -334,33 +301,25 @@ def explain_patient(
 def aggregate_by_class(
     explanations: Sequence[ImportanceMatrix], cohort: Cohort, scope: str
 ) -> ImportanceMatrix:
-    """Cellwise mean of per-patient attributions over the patients in scope,
-    restricted to each patient's valid (observed, in-stay) cells."""
-    if scope not in ("all", "positive", "negative"):
-        raise ConfigError(f"unknown scope {scope!r}")
+    """Cellwise mean of per-patient importance matrices over the patients in
+    scope, restricted to each patient's valid (observed, in-stay) cells."""
+    picked = cohort.scope_indices(scope)
     if len(explanations) != len(cohort.patients):
         raise DataError("explanations are not aligned with the cohort")
-    picked = []
     for expl, patient in zip(explanations, cohort.patients):
         if expl.patient_id is not None and expl.patient_id != patient.id:
             raise DataError("explanations are not aligned with the cohort")
-        if scope == "positive" and not patient.is_positive:
-            continue
-        if scope == "negative" and patient.is_positive:
-            continue
-        picked.append((expl, patient))
-    if not picked:
-        raise DataError(f"no patients in scope {scope!r}")
-    F, T = picked[0][0].W.shape
+    F, T = explanations[picked[0]].W.shape
     total = np.zeros((F, T))
     counts = np.zeros((F, T), dtype=np.int64)
     base_total = np.zeros(T)
     base_counts = np.zeros(T, dtype=np.int64)
-    for expl, patient in picked:
-        valid_cells = (patient.M == 1.0) & patient.valid_steps()[None, :]
+    for i in picked:
+        expl, patient = explanations[i], cohort.patients[i]
+        vsteps = patient.valid_steps()
+        valid_cells = (patient.M == 1.0) & vsteps[None, :]
         total[valid_cells] += expl.W[valid_cells]
         counts += valid_cells
-        vsteps = patient.valid_steps()
         base_total[vsteps] += expl.base[vsteps]
         base_counts += vsteps
     W = np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
@@ -370,7 +329,7 @@ def aggregate_by_class(
     return ImportanceMatrix(
         W=W,
         base=base,
-        method=picked[0][0].method,
+        method=explanations[picked[0]].method,
         scope=scope,
         patient_id=None,
         n_valid=counts,
@@ -381,34 +340,22 @@ def save_attributions(
     explanations: Sequence[ImportanceMatrix], feature_names, path
 ) -> None:
     """Write `patient_id,feature,t,attribution,base_t,mode` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "feature", "t", "attribution", "base_t", "mode"])
-        for expl in explanations:
-            F, T = expl.W.shape
-            for f in range(F):
-                for t in range(T):
-                    writer.writerow(
-                        [
-                            expl.patient_id or "",
-                            feature_names[f],
-                            t + 1,
-                            repr(float(expl.W[f, t])),
-                            repr(float(expl.base[t])),
-                            expl.method,
-                        ]
-                    )
+    header = ["patient_id", "feature", "t", "attribution", "base_t", "mode"]
+    write_long_csv(path, [header] + [
+        [expl.patient_id, feature_names[f], t + 1, expl.W[f, t], expl.base[t],
+         expl.method]
+        for expl in explanations
+        for f in range(expl.W.shape[0])
+        for t in range(expl.W.shape[1])
+    ])
 
 
 def save_aggregate(agg: ImportanceMatrix, feature_names, path) -> None:
     """Write `feature,t,attribution,n_valid,scope` rows."""
     F, T = agg.W.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "t", "attribution", "n_valid", "scope"])
-        for f in range(F):
-            for t in range(T):
-                n = int(agg.n_valid[f, t]) if agg.n_valid is not None else ""
-                writer.writerow(
-                    [feature_names[f], t + 1, repr(float(agg.W[f, t])), n, agg.scope]
-                )
+    header = ["feature", "t", "attribution", "n_valid", "scope"]
+    write_long_csv(path, [header] + [
+        [feature_names[f], t + 1, agg.W[f, t],
+         None if agg.n_valid is None else int(agg.n_valid[f, t]), agg.scope]
+        for f in range(F) for t in range(T)
+    ])

@@ -138,22 +138,6 @@ def init_params(
     return gru, att
 
 
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, p: GRUParams) -> np.ndarray:
-    """One recurrence step on a single input column."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    H = p.hidden_size
-    F = p.n_features
-    if x_t.shape != (F,) or h_prev.shape != (H,):
-        raise ShapeError(f"expected x ({F},) and h ({H},)")
-    cat1 = np.concatenate([x_t, h_prev])
-    z = sigmoid(p.W_z @ cat1 + p.b_z)
-    r = sigmoid(p.W_r @ cat1 + p.b_r)
-    cat2 = np.concatenate([r * h_prev, x_t])
-    hc = np.tanh(p.W_h @ cat2 + p.b_h)
-    return (1.0 - z) * hc + z * h_prev
-
-
 def attention_matrix(X: np.ndarray, a: AttentionParams) -> np.ndarray:
     """Per-column softmax over features of the affine map W X + b."""
     X = np.asarray(X, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Dense float64 matrix primitives, seeded RNG streams, and a ridge-stabilized
+"""Float64 sigmoid and softmax, seeded RNG streams, and a ridge-stabilized
 weighted least-squares solver.
 
 All operations are pure and operate on ``numpy.ndarray`` values in float64.
@@ -9,7 +9,7 @@ broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,24 +24,6 @@ def as_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -113,22 +95,6 @@ def weighted_least_squares(
         raise SingularSystemError(
             "normal equations are singular; pass ridge > 0 to stabilize"
         ) from exc
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], p: np.ndarray, h: float
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, used as the training
-    oracle for backpropagation checks."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    g = np.zeros_like(p)
-    for j in range(p.size):
-        e = np.zeros_like(p)
-        e.flat[j] = h
-        g.flat[j] = (f(p + e) - f(p - e)) / (2.0 * h)
-    return g
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,18 @@ class TestExplain:
              "--scope", "positive"]
         ) == 0
         assert (out / "importance_attention_positive.csv").exists()
+        assert run(
+            ["explain", "--config", str(cfg_path), "--method", "attention",
+             "--scope", "negative"]
+        ) == 0
+        with open(out / "importance_attention_negative.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["feature", "t", "attribution", "n_valid", "scope"]
+        assert {r[4] for r in rows[1:]} == {"negative"}
+        cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
+        negatives = [p for p in cohort.patients if not p.is_positive]
+        expected = sum(p.M * p.valid_steps()[None, :] for p in negatives)
+        assert [int(r[3]) for r in rows[1:]] == [int(v) for v in expected.ravel()]
 
     def test_attention_on_plain_checkpoint_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -147,6 +159,16 @@ class TestExplain:
         ) == 0
         assert (out / "importance_itshap_all.csv").exists()
         assert (out / "attributions_itshap_all.csv").exists()
+
+    def test_itshap_unknown_steps_exit_2(self, prepared):
+        cfg_path, out = prepared
+        cfg = json.loads(cfg_path.read_text())
+        cfg["itshap"] = {"max_patients": 2, "steps": "finall"}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(
+            ["explain", "--config", str(cfg_path), "--method", "itshap"]
+        ) == 2
+        assert not (out / "importance_itshap_all.csv").exists()
 
     def test_explain_without_checkpoint_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,9 @@ from tsxplain.data import (
     split_train_test,
     synth_cohort,
     synth_schema,
+    write_long_csv,
 )
-from tsxplain.errors import DataError, SchemaError
+from tsxplain.errors import ConfigError, DataError, SchemaError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
@@ -100,6 +103,25 @@ class TestValidation:
         p.M[0, 0] = 0.5
         with pytest.raises(DataError, match="binary"):
             p.validate(c.F, c.T)
+
+
+class TestScope:
+    def test_three_scopes(self):
+        c = toy_cohort([(None, 3), (2, 4), (None, 5), (1, 6)])
+        assert c.scope_indices("all") == [0, 1, 2, 3]
+        assert c.scope_indices("positive") == [1, 3]
+        assert c.scope_indices("negative") == [0, 2]
+
+    def test_unknown_scope(self):
+        with pytest.raises(ConfigError, match="everyone"):
+            toy_cohort([(None, 3)]).scope_indices("everyone")
+
+    def test_empty_scope(self):
+        c = toy_cohort([(None, 3), (None, 4)])
+        with pytest.raises(DataError, match="positive"):
+            c.scope_indices("positive")
+        with pytest.raises(DataError, match="all"):
+            toy_cohort([]).scope_indices("all")
 
 
 class TestClassWeights:
@@ -289,3 +311,21 @@ class TestCohortIo:
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="label"):
             load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+
+
+class TestLongCsv:
+    def test_floats_round_trip_bit_exact(self, tmp_path):
+        values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, float("inf")]
+        values += list(RngStream(11).generator().normal(scale=1e3, size=50))
+        write_long_csv(tmp_path / "f.csv", [["v"]] + [[v] for v in values])
+        with open(tmp_path / "f.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        back = np.array([float(r[0]) for r in rows[1:]])
+        assert np.array_equal(back.view(np.uint64), np.array(values).view(np.uint64))
+
+    def test_none_ints_and_strings(self, tmp_path):
+        write_long_csv(tmp_path / "m.csv", [["# note"], ["name", "t", "value"],
+                                            ["a,b", 3, None], ["x", -7, 2.5]])
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b'# note\r\nname,t,value\r\n"a,b",3,\r\nx,-7,2.5\r\n'
+        )

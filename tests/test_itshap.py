@@ -6,7 +6,6 @@ import pytest
 
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
-    Coalition,
     ExplainerConfig,
     ImportanceMatrix,
     aggregate_by_class,
@@ -14,7 +13,6 @@ from tsxplain.itshap import (
     cell_players,
     explain_patient,
     explain_step,
-    perturb,
     shap_kernel_weight,
     shapley_values,
     timestep_players,
@@ -23,6 +21,7 @@ from tsxplain.model import TrainedModel, init_params, schema_fingerprint
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
+from oracles import Coalition, perturb
 
 
 def permutation_shapley(value_fn, m):

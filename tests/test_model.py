@@ -11,7 +11,6 @@ from tsxplain.model import (
     attention_matrix,
     backward,
     forward,
-    gru_step,
     init_params,
     load_model,
     save_model,
@@ -22,6 +21,7 @@ from tsxplain.model import (
 from tsxplain.numerics import RngStream, sigmoid
 
 from conftest import small_schema, toy_cohort
+from oracles import gru_step
 
 
 def make_model(F=3, H=4, seed=0, use_attention=False, schema=None) -> TrainedModel:

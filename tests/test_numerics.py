@@ -3,83 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsxplain.errors import ShapeError, SingularSystemError
+from tsxplain.errors import SingularSystemError
 from tsxplain.numerics import (
     RngStream,
-    finite_diff_grad,
-    hadamard,
-    matmul,
     sigmoid,
     softmax_axis,
     weighted_least_squares,
 )
 
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-    def test_vs_triple_loop_oracle(self):
-        gen = RngStream(1).generator()
-        a = gen.normal(size=(5, 4))
-        b = gen.normal(size=(4, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        gen = RngStream(2).generator()
-        for _ in range(10):
-            a = gen.normal(size=(3, 4))
-            b = gen.normal(size=(4, 5))
-            c = gen.normal(size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.abs(left - right).max() / max(np.abs(left).max(), 1e-12) < 1e-9
-
-
-class TestHadamard:
-    def test_ones_identity(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(hadamard(m, np.ones((2, 3))), m)
-
-    def test_zeros_absorbing(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(hadamard(m, np.zeros((2, 3))), np.zeros((2, 3)))
-
-    def test_hand(self):
-        out = hadamard(
-            np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
-        )
-        assert np.array_equal(out, np.array([[0.0, 2.0], [3.0, 0.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_commutativity(self, seed):
-        gen = RngStream(seed).generator()
-        a = gen.normal(size=(3, 4))
-        b = gen.normal(size=(3, 4))
-        assert np.array_equal(hadamard(a, b), hadamard(b, a))
+from oracles import finite_diff_grad
 
 
 class TestSoftmax:
