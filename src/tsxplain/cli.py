@@ -261,7 +261,7 @@ def cmd_explain(cfg: dict, args) -> int:
                     stay_length=p.stay_length, steps=steps, patient_id=p.id,
                 )
             )
-        sub = data_mod.Cohort(cohort.schema, list(explained), cohort.T)
+        sub = test_c.subset(range(len(explained)))
         agg = itshap_mod.aggregate_by_class(explanations, sub, scope)
         path = out / f"importance_itshap_{scope}.csv"
         itshap_mod.save_aggregate(agg, names, path)

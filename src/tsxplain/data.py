@@ -8,7 +8,9 @@ the stay are all zero.
 
 from __future__ import annotations
 
+import copy
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -114,7 +116,11 @@ class Cohort:
         return self.schema.F
 
     def subset(self, indices) -> "Cohort":
-        return Cohort(self.schema, [self.patients[i] for i in indices], self.T)
+        """The patients at ``indices``, in that order. The records were
+        validated when this cohort was built, so they are not checked again."""
+        sub = copy.copy(self)
+        sub.patients = [self.patients[i] for i in indices]
+        return sub
 
     def scope_indices(self, scope: str) -> list[int]:
         """Indices of the patients in scope: "all", "positive" (ever turns
@@ -503,6 +509,10 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                     raise DataError(
                         f"patient {pid}: bad value {cell!r} in {schema.names[f]}"
                     ) from exc
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"patient {pid}: non-finite value {cell!r} in {schema.names[f]}"
+                    )
                 if schema.features[f].kind == "binary" and value not in (0.0, 1.0):
                     raise DataError(
                         f"patient {pid}: non-binary value {value} in binary "
@@ -510,7 +520,5 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                     )
                 X[f, t - 1] = value
                 M[f, t - 1] = 1.0
-        record = PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay)
-        record.validate(schema.F, T)
-        patients.append(record)
+        patients.append(PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay))
     return Cohort(schema=schema, patients=patients, T=T)

@@ -22,6 +22,7 @@ import copy
 import hashlib
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -171,31 +172,48 @@ def _forward_core(
         A = None
         Xeff = Xin
 
+    # Both gates share one pre-activation buffer and one sigmoid call; each
+    # keeps its own matmul, since one stacked (F+H, 2H) matmul changes the
+    # BLAS kernel, and so the bits, for hidden_size 1. The gate inputs [x, h]
+    # and candidate inputs [r*h, x] are filled into buffers, kept for every
+    # step when the backward pass needs them and reused otherwise, so wide
+    # inference batches allocate no (T, n, .) arrays.
+    W_zT, W_rT, W_hT = gru.W_z.T, gru.W_r.T, gru.W_h.T
+    zr_pre = np.empty((n, 2 * H))
+    b_zr = np.concatenate([gru.b_z, gru.b_r])
+    steps = T if want_cache else 1
+    cat1 = np.empty((steps, n, F + H))
+    cat2 = np.empty((steps, n, H + F))
+    logits = np.empty((n, T))
     h = np.zeros((n, H))
-    yhat = np.empty((n, T))
-    cache = {"x": [], "h_prev": [], "z": [], "r": [], "hc": [], "h_out": []} if want_cache else None
+    zr_all, hc_all, h_out_all = [], [], []
     for t in range(T):
-        x = Xeff[:, :, t]
-        cat1 = np.concatenate([x, h], axis=1)
-        z = sigmoid(cat1 @ gru.W_z.T + gru.b_z)
-        r = sigmoid(cat1 @ gru.W_r.T + gru.b_r)
-        cat2 = np.concatenate([r * h, x], axis=1)
-        hc = np.tanh(cat2 @ gru.W_h.T + gru.b_h)
-        h_new = (1.0 - z) * hc + z * h
+        c1 = cat1[t if want_cache else 0]
+        c2 = cat2[t if want_cache else 0]
+        c1[:, :F] = Xeff[:, :, t]
+        c1[:, F:] = h
+        np.matmul(c1, W_zT, out=zr_pre[:, :H])
+        np.matmul(c1, W_rT, out=zr_pre[:, H:])
+        zr_pre += b_zr
+        zr = sigmoid(zr_pre)
+        np.multiply(zr[:, H:], h, out=c2[:, :H])
+        c2[:, H:] = c1[:, :F]
+        hc = c2 @ W_hT
+        hc += gru.b_h
+        np.tanh(hc, out=hc)
+        h_new = (1.0 - zr[:, :H]) * hc + zr[:, :H] * h
         h_out = h_new if dropout_mask is None else h_new * dropout_mask[:, :, t]
-        yhat[:, t] = sigmoid(h_out @ gru.W_out + gru.b_out)
+        logits[:, t] = h_out @ gru.W_out
         if want_cache:
-            cache["x"].append(x)
-            cache["h_prev"].append(h)
-            cache["z"].append(z)
-            cache["r"].append(r)
-            cache["hc"].append(hc)
-            cache["h_out"].append(h_out)
+            zr_all.append(zr)
+            hc_all.append(hc)
+            h_out_all.append(h_out)
         h = h_new
+    logits += gru.b_out
+    yhat = sigmoid(logits)
     if want_cache:
-        cache["A"] = A
-        cache["Xin"] = Xin
-        cache["yhat"] = yhat
+        cache = {"cat1": cat1, "cat2": cat2, "zr": zr_all, "hc": hc_all,
+                 "h_out": h_out_all, "A": A, "Xin": Xin, "yhat": yhat}
         return yhat, cache
     return yhat
 
@@ -283,7 +301,9 @@ def _backward_core(
     dyhat = _loss_grad_yhat(yhat, y, valid, beta)
     do_all = dyhat * yhat * (1.0 - yhat)
 
-    dXeff = np.zeros((n, F, T))
+    cat1, cat2 = cache["cat1"], cache["cat2"]
+    # the input gradient only feeds the attention parameters
+    dXeff = np.zeros((n, F, T)) if att is not None else None
     dh_next = np.zeros((n, H))
     for t in range(T - 1, -1, -1):
         do = do_all[:, t]
@@ -295,38 +315,36 @@ def _backward_core(
             dh_from_out = dh_from_out * dropout_mask[:, :, t]
         dh = dh_next + dh_from_out
 
-        h_prev = cache["h_prev"][t]
-        z = cache["z"][t]
-        r = cache["r"][t]
+        c1, c2 = cat1[t], cat2[t]
+        h_prev = c1[:, F:]
+        zr = cache["zr"][t]
+        z, r = zr[:, :H], zr[:, H:]
         hc = cache["hc"][t]
-        x = cache["x"][t]
+        omz = 1.0 - z
 
         dz = dh * (h_prev - hc)
-        dhc = dh * (1.0 - z)
+        dhc = dh * omz
         dh_prev = dh * z
 
         dahc = dhc * (1.0 - hc * hc)
-        cat2 = np.concatenate([r * h_prev, x], axis=1)
-        grads["W_h"] += dahc.T @ cat2
+        grads["W_h"] += dahc.T @ c2
         grads["b_h"] += dahc.sum(axis=0)
         dcat2 = dahc @ gru.W_h
         drh = dcat2[:, :H]
-        dx = dcat2[:, H:].copy()
         dr = drh * h_prev
         dh_prev += drh * r
 
         dar = dr * r * (1.0 - r)
-        daz = dz * z * (1.0 - z)
-        cat1 = np.concatenate([x, h_prev], axis=1)
-        grads["W_r"] += dar.T @ cat1
+        daz = dz * z * omz
+        grads["W_r"] += dar.T @ c1
         grads["b_r"] += dar.sum(axis=0)
-        grads["W_z"] += daz.T @ cat1
+        grads["W_z"] += daz.T @ c1
         grads["b_z"] += daz.sum(axis=0)
         dcat1 = dar @ gru.W_r + daz @ gru.W_z
-        dx += dcat1[:, :F]
         dh_prev += dcat1[:, F:]
 
-        dXeff[:, :, t] = dx
+        if dXeff is not None:
+            np.add(dcat2[:, H:], dcat1[:, :F], out=dXeff[:, :, t])
         dh_next = dh_prev
 
     if att is not None:
@@ -416,6 +434,11 @@ def _fit(
 
         train_loss = _epoch_loss(Xin_tr, ytr, vtr, gru, att, beta)
         val_loss = _epoch_loss(Xin_va, yva, vva, gru, att, beta)
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise FloatingPointError(
+                f"non-finite loss at epoch {epoch + 1}: train {train_loss}, "
+                f"validation {val_loss}"
+            )
         history["train_loss"].append(train_loss)
         history["val_loss"].append(val_loss)
 
@@ -516,34 +539,80 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a checkpoint written by ``save_model``. A file that does not
+    start with the magic line raises ``ConfigError``; a checkpoint that does
+    but is truncated or malformed raises ``DataError``."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+        text = fh.read()
+    lines = text.splitlines()
+    if not lines:
+        raise DataError(f"checkpoint is empty: {path}")
+    if lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"not a {CHECKPOINT_MAGIC} file: {path}")
+
+    def malformed(why: str) -> DataError:
+        return DataError(f"malformed checkpoint {path}: {why}")
+
+    # save_model ends every line with a newline, so a file cut inside a line
+    # is caught even where the cut still leaves valid hex digits
+    if not text.endswith("\n"):
+        raise malformed("truncated inside its last line")
+
+    def hex_floats(cells: list[str], where: str) -> list[float]:
+        try:
+            return [float.fromhex(v) for v in cells]
+        except ValueError:
+            raise malformed(f"bad hex float in {where}") from None
+
     pos = 1
     header: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     history: dict[str, list[float]] = {}
     while pos < len(lines):
-        line = lines[pos]
-        if line.startswith("array "):
-            _, name, r, c = line.split()
-            r, c = int(r), int(c)
-            rows = [
-                [float.fromhex(v) for v in lines[pos + 1 + i].split()]
-                for i in range(r)
-            ]
+        parts = lines[pos].split()
+        if parts[:1] == ["array"]:
+            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+                raise malformed(f"bad array header {lines[pos]!r}")
+            name, r, c = parts[1], int(parts[2]), int(parts[3])
+            rows = [hex_floats(row.split(), f"array {name}")
+                    for row in lines[pos + 1 : pos + 1 + r]]
+            if len(rows) != r or any(len(row) != c for row in rows):
+                raise malformed(f"array {name} is not {r}x{c}")
             arrays[name] = np.array(rows, dtype=np.float64).reshape(r, c)
             pos += 1 + r
-        elif line.startswith("history "):
-            parts = line.split()
-            history[parts[1]] = [float.fromhex(v) for v in parts[2:]]
+        elif parts[:1] == ["history"] and len(parts) >= 2:
+            history[parts[1]] = hex_floats(parts[2:], f"history {parts[1]}")
             pos += 1
         else:
-            key, _, value = line.partition(" ")
+            key, _, value = lines[pos].partition(" ")
             header[key] = value
             pos += 1
+
+    for key in ("schema_fingerprint", "hidden_size", "threshold", "attention"):
+        if key not in header:
+            raise malformed(f"missing header {key!r}")
+    for key in ("train_loss", "val_loss"):
+        if key not in history:
+            raise malformed(f"missing history {key!r}")
+    if not header["hidden_size"].isdigit() or int(header["hidden_size"]) < 1:
+        raise malformed(f"bad hidden_size {header['hidden_size']!r}")
+    if header["attention"] not in ("0", "1"):
+        raise malformed(f"bad attention flag {header['attention']!r}")
+    threshold = hex_floats([header["threshold"]], "threshold")[0]
     H = int(header["hidden_size"])
+    F = arrays["W_z"].shape[1] - H if "W_z" in arrays else 0
+    shapes = {
+        "W_z": (H, F + H), "W_r": (H, F + H), "W_h": (H, H + F),
+        "b_z": (1, H), "b_r": (1, H), "b_h": (1, H), "W_out": (1, H), "b_out": (1, 1),
+    }
+    if header["attention"] == "1":
+        shapes.update({"att_W": (F, F), "att_b": (1, F)})
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise malformed(f"missing array {name!r}")
+        if F < 1 or arrays[name].shape != shape:
+            raise malformed(f"array {name} has shape {arrays[name].shape}, expected {shape}")
+
     gru = GRUParams(
         W_z=arrays["W_z"],
         W_r=arrays["W_r"],
@@ -556,12 +625,12 @@ def load_model(path) -> TrainedModel:
         hidden_size=H,
     )
     att = None
-    if header.get("attention") == "1":
+    if header["attention"] == "1":
         att = AttentionParams(W=arrays["att_W"], b=arrays["att_b"].ravel())
     return TrainedModel(
         gru=gru,
         attention=att,
         schema_fingerprint=header["schema_fingerprint"],
         history=history,
-        threshold=float.fromhex(header["threshold"]),
+        threshold=threshold,
     )

@@ -27,12 +27,20 @@ def as_matrix(values) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function without branches or masked gathers.
+
+    With e = exp(min(x, -x)), that is exp(-x) where x >= 0 and exp(x)
+    elsewhere (``minimum`` returns x itself when x is nan), it is 1 / (1 + e)
+    and e / (1 + e) respectively: the same expressions on the same operands,
+    hence the same bits, as the two-branch form.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

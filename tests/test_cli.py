@@ -95,6 +95,35 @@ class TestTrain:
         cfg_path, _ = write_config(tmp_path)
         assert run(["train", "--config", str(cfg_path)]) == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cohort_value_exit_3(self, tmp_path, capsys, bad):
+        cfg_path, _ = write_config(tmp_path)
+        run(["synth", "--config", str(cfg_path)])
+        data = tmp_path / "out" / "cohort.csv"
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("env_0")
+        row = next(r for r in rows[1:] if r[col] != "")
+        row[col] = bad
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 3
+        err = capsys.readouterr().err
+        assert f"patient {row[0]}" in err and "env_0" in err
+        assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exit_4(self, tmp_path, capsys):
+        # the cohort loader rejects non-finite values, so a non-finite step
+        # size is what drives the weights, and the loss, to nan here
+        cfg_path, _ = write_config(tmp_path, {"train": {"learning_rate": float("inf")}})
+        run(["synth", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 4
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
+
     def test_single_class_cohort_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, {"synth": {"mdr_fraction": 0.0}})
         run(["synth", "--config", str(cfg_path)])
@@ -169,6 +198,26 @@ class TestExplain:
             ["explain", "--config", str(cfg_path), "--method", "itshap"]
         ) == 2
         assert not (out / "importance_itshap_all.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["gru", "attention"])
+    def test_truncated_checkpoint_exit_3(self, prepared, capsys, variant):
+        cfg_path, out = prepared
+        ckpt = out / f"ckpt_{variant}_seed0.txt"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        argv = ["explain", "--config", str(cfg_path), "--method", "itshap",
+                "--attention", "on" if variant == "attention" else "off"]
+        for cut in range(len(lines)):
+            ckpt.write_text("".join(lines[:cut]))
+            capsys.readouterr()
+            assert run(argv) == 3, f"cut after {cut} of {len(lines)} lines"
+            assert "data error" in capsys.readouterr().err
+        # byte-level cuts past the magic line, most of them inside a line
+        text = "".join(lines)
+        for cut in range(len(lines[0]), len(text), 97):
+            ckpt.write_text(text[:cut])
+            capsys.readouterr()
+            assert run(argv) == 3, f"cut after {cut} of {len(text)} bytes"
+            assert "data error" in capsys.readouterr().err
 
     def test_explain_without_checkpoint_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)

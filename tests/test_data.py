@@ -124,6 +124,25 @@ class TestScope:
             toy_cohort([]).scope_indices("all")
 
 
+class TestSubset:
+    def test_records_schema_and_horizon(self):
+        c = toy_cohort([(None, 3), (2, 4), (None, 5), (1, 6)], T=7)
+        sub = c.subset([3, 0, 2])
+        assert [p.id for p in sub.patients] == ["p3", "p0", "p2"]
+        assert all(a is b for a, b in zip(sub.patients, [c.patients[i] for i in (3, 0, 2)]))
+        assert sub.schema is c.schema
+        assert sub.T == c.T == 7
+
+    def test_patient_list_independent_of_parent(self):
+        c = toy_cohort([(None, 3), (2, 4), (None, 5)])
+        sub = c.subset(range(2))
+        extra = c.patients[2]
+        sub.patients.append(extra)
+        assert [p.id for p in c.patients] == ["p0", "p1", "p2"]
+        c.patients.pop(0)
+        assert [p.id for p in sub.patients] == ["p0", "p1", "p2"]
+
+
 class TestClassWeights:
     def test_majority_share(self):
         # at t=0: 9 negatives, 1 positive -> beta = 0.9
@@ -300,6 +319,19 @@ class TestCohortIo:
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-decreasing"):
             load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        c = synth_cohort(SynthConfig(n_patients=5, missing_rate=0.0, seed=2))
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        with open(tmp_path / "d.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("care_1")
+        rows[-1][col] = bad
+        with open(tmp_path / "d.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DataError, match=f"patient {rows[-1][0]}.*care_1"):
+            load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=c.T)
 
     def test_bad_label_value(self, tmp_path):
         c = toy_cohort([(None, 2)])

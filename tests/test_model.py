@@ -4,6 +4,8 @@ import pytest
 from tsxplain.data import ClassWeights, compute_class_weights, synth_cohort, SynthConfig
 from tsxplain.errors import ConfigError, DataError, ShapeError
 from tsxplain.model import (
+    _backward_core,
+    _forward_core,
     AttentionParams,
     GRUParams,
     TrainConfig,
@@ -11,6 +13,7 @@ from tsxplain.model import (
     attention_matrix,
     backward,
     forward,
+    forward_prepared,
     init_params,
     load_model,
     save_model,
@@ -21,7 +24,7 @@ from tsxplain.model import (
 from tsxplain.numerics import RngStream, sigmoid
 
 from conftest import small_schema, toy_cohort
-from oracles import gru_step
+from oracles import gru_bptt, gru_step
 
 
 def make_model(F=3, H=4, seed=0, use_attention=False, schema=None) -> TrainedModel:
@@ -175,6 +178,36 @@ class TestForward:
         got = forward(x, M, model)[0]
         assert abs(got - expected) < 1e-14
 
+    @pytest.mark.parametrize("use_att", [False, True])
+    def test_full_sequence_matches_gru_step_loop(self, use_att):
+        model = make_model(F=4, H=3, seed=13, use_attention=use_att)
+        gen = RngStream(14).generator()
+        Xin = gen.normal(size=(5, 4, 7)) * (gen.random((5, 4, 7)) < 0.7)
+        yhat = forward_prepared(Xin, model.gru, model.attention)
+        g = model.gru
+        for i in range(Xin.shape[0]):
+            Xeff = Xin[i]
+            if use_att:
+                Xeff = Xeff * attention_matrix(Xin[i], model.attention)
+            h = np.zeros(3)
+            for t in range(Xin.shape[2]):
+                h = gru_step(Xeff[:, t], h, g)
+                expected = 1.0 / (1.0 + np.exp(-(g.W_out @ h + g.b_out)))
+                assert abs(yhat[i, t] - expected) < 1e-12
+
+    @pytest.mark.parametrize("use_att", [False, True])
+    def test_cached_and_plain_forward_bit_identical(self, use_att):
+        model = make_model(F=4, H=3, seed=15, use_attention=use_att)
+        gen = RngStream(16).generator()
+        Xin = gen.normal(size=(9, 4, 6))
+        keep = (gen.random((9, 3, 6)) >= 0.4) / 0.6
+        for mask in (None, keep):
+            plain = _forward_core(Xin, model.gru, model.attention, dropout_mask=mask)
+            cached, _ = _forward_core(
+                Xin, model.gru, model.attention, dropout_mask=mask, want_cache=True
+            )
+            assert np.array_equal(plain, cached)
+
     def test_attention_rescales_input(self):
         model = make_model(F=3, H=4, seed=2, use_attention=True)
         gen = RngStream(7).generator()
@@ -259,6 +292,69 @@ class TestBackward:
             fd[i] = (loss_at(tp) - loss_at(tm)) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-6)
         assert np.max(np.abs(grads - fd) / denom) < 1e-4
+
+    @pytest.mark.parametrize("use_att", [False, True])
+    def test_dropout_gradients_match_finite_differences(self, use_att):
+        cohort = toy_cohort([(1, 4), (None, 5), (2, 3)], F=4, T=5, seed=17)
+        model = make_model(F=4, H=3, seed=18, use_attention=use_att)
+        beta = compute_class_weights(cohort)
+        X, M, y, valid = cohort.stacked()
+        Xin = X * M
+        # a fixed keep-mask with inverted-dropout scaling, as _fit draws it
+        keep = (RngStream(19).generator().random((3, 3, 5)) >= 0.3) / 0.7
+        _, cache = _forward_core(
+            Xin, model.gru, model.attention, dropout_mask=keep, want_cache=True
+        )
+        grads = flatten_grads(
+            _backward_core(cache, model.gru, model.attention, y, valid, beta.beta,
+                           dropout_mask=keep),
+            use_att,
+        )
+
+        def loss_at(theta):
+            probe = make_model(F=4, H=3, seed=18, use_attention=use_att)
+            set_params(probe, theta)
+            yhat = _forward_core(Xin, probe.gru, probe.attention, dropout_mask=keep)
+            return tbbce(yhat, y, valid, beta)
+
+        theta0 = flatten_params(model)
+        fd = np.zeros_like(theta0)
+        h = 1e-6
+        for i in range(theta0.size):
+            tp, tm = theta0.copy(), theta0.copy()
+            tp[i] += h
+            tm[i] -= h
+            fd[i] = (loss_at(tp) - loss_at(tm)) / (2 * h)
+        denom = np.maximum(np.abs(fd), 1e-6)
+        assert np.max(np.abs(grads - fd) / denom) < 1e-4
+
+    @pytest.mark.parametrize("use_att", [False, True])
+    @pytest.mark.parametrize("H", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_kernel_bit_identical_to_per_step_oracle(self, use_att, H, n):
+        model = make_model(F=4, H=H, seed=21, use_attention=use_att)
+        gen = RngStream(22).generator()
+        Xin = gen.normal(size=(n, 4, 6)) * (gen.random((n, 4, 6)) < 0.8)
+        y = (gen.random((n, 6)) < 0.4).astype(float)
+        valid = gen.random((n, 6)) < 0.9
+        valid[0, 0] = True
+        beta = gen.uniform(0.5, 0.9, 6)
+        keep = (gen.random((n, H, 6)) >= 0.3) / 0.7
+        for mask in (None, keep):
+            want_yhat, want = gru_bptt(Xin, model.gru, model.attention, y, valid,
+                                       beta, dropout_mask=mask)
+            yhat, cache = _forward_core(Xin, model.gru, model.attention,
+                                        dropout_mask=mask, want_cache=True)
+            got = _backward_core(cache, model.gru, model.attention, y, valid, beta,
+                                 dropout_mask=mask)
+            assert np.array_equal(yhat, want_yhat)
+            assert np.array_equal(
+                _forward_core(Xin, model.gru, model.attention, dropout_mask=mask),
+                want_yhat,
+            )
+            assert sorted(got) == sorted(want)
+            for k in want:
+                assert np.array_equal(np.asarray(got[k]), np.asarray(want[k])), k
 
     def test_masked_values_do_not_move_gradients(self):
         cohort = toy_cohort([(1, 4), (None, 5)], F=3, T=6, seed=4)
@@ -370,4 +466,38 @@ class TestCheckpoint:
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ConfigError):
+            load_model(path)
+
+    def test_cut_inside_last_line_is_data_error(self, tmp_path):
+        model = make_model(F=3, H=4, seed=20)
+        model.history = {"train_loss": [0.5, 0.4], "val_loss": [0.6, 0.55]}
+        path = tmp_path / "ckpt.txt"
+        save_model(model, path)
+        # the cut leaves "0x1.19999" in val_loss, itself a valid hex float
+        path.write_text(path.read_text()[:-12])
+        with pytest.raises(DataError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: [],
+        lambda lines: [l for l in lines if not l.startswith("hidden_size")],
+        lambda lines: [l.replace("attention 0", "attention 2") for l in lines],
+        lambda lines: [l.replace("array W_h 4 7", "array W_h 4 6") for l in lines],
+        lambda lines: [l.replace("array W_h 4 7", "array W_h four 7") for l in lines],
+        lambda lines: [l.replace("array b_out 1 1", "array b_out 1 2") for l in lines],
+        lambda lines: [l.replace("0x", "0y", 1) if l.startswith("0x") else l
+                       for l in lines],
+        lambda lines: [l for l in lines if not l.startswith("history val_loss")],
+        lambda lines: [l.replace("threshold 0x", "threshold zz") for l in lines],
+    ])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, damage):
+        model = make_model(F=3, H=4, seed=20)
+        model.history = {"train_loss": [0.5], "val_loss": [0.6]}
+        path = tmp_path / "ckpt.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        damaged = damage(lines)
+        assert damaged != lines
+        path.write_text("".join(line + "\n" for line in damaged))
+        with pytest.raises(DataError):
             load_model(path)

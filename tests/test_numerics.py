@@ -11,7 +11,40 @@ from tsxplain.numerics import (
     weighted_least_squares,
 )
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, sigmoid_two_branch
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+               36.0, -36.0, 709.0, -709.0, 745.0, -745.0, np.inf, -np.inf, np.nan,
+               -np.nan]
+
+    @staticmethod
+    def same_bits(a, b) -> bool:
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_special_values_match_two_branch_form(self):
+        x = np.array(self.SPECIAL)
+        got, want = sigmoid(x), sigmoid_two_branch(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert self.same_bits(got, want)  # signed zeros and nan payloads too
+
+    def test_random_values_match_two_branch_form(self):
+        x = RngStream(21).generator().uniform(-800.0, 800.0, 10_000)
+        assert self.same_bits(sigmoid(x), sigmoid_two_branch(x))
+
+    def test_shapes_and_views_preserved(self):
+        gen = RngStream(22).generator()
+        block = gen.normal(scale=20.0, size=(64, 16))
+        for x in (np.float64(0.3), block, block[:, ::2], block.reshape(4, 16, 16)):
+            got = sigmoid(x)
+            assert got.shape == np.shape(x)
+            assert self.same_bits(got, sigmoid_two_branch(x))
+
+    def test_input_not_modified(self):
+        x = np.array([-3.0, 0.0, 4.0])
+        sigmoid(x)
+        assert np.array_equal(x, [-3.0, 0.0, 4.0])
 
 
 class TestSoftmax:
