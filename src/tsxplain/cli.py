@@ -21,18 +21,50 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from . import itshap as itshap_mod
 from . import model as model_mod
-from .errors import ConfigError, DataError, NotTrainedError, SchemaError
+from .errors import (
+    ConfigError, DataError, NotTrainedError, SchemaError, is_finite_real, is_integer,
+)
 from .numerics import RngStream
+
+
+_PATH = ("a path string", lambda v: isinstance(v, str))
+_SECTION = ("a JSON object", lambda v: isinstance(v, dict))
+# the top-level keys the commands read, each with what its value must be;
+# any other key is a typo
+CONFIG_KEYS = {
+    "out_dir": _PATH,
+    "cohort_csv": _PATH,
+    "schema": _PATH,
+    "seeds": ("a list of integers",
+              lambda v: isinstance(v, list) and all(is_integer(s) for s in v)),
+    "T": ("an integer", is_integer),
+    "threshold": ("a finite number", is_finite_real),
+    "train_fraction": ("a finite number", is_finite_real),
+    "synth": _SECTION,
+    "train": _SECTION,
+    "cmi": _SECTION,
+    "itshap": _SECTION,
+}
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in cfg.items():
+        what, check = CONFIG_KEYS[key]
+        if not check(value):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return cfg
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -51,6 +83,8 @@ def _seeds(cfg: dict, args) -> list[int]:
         seeds = list(cfg.get("seeds", [0, 1, 2]))
     if not seeds:
         raise ConfigError("seed list must be nonempty")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
     return seeds
 
 
@@ -70,13 +104,13 @@ def _train_config(cfg: dict, seed: int) -> model_mod.TrainConfig:
     kwargs = dict(section)
     kwargs["seed"] = seed
     kwargs.setdefault("threshold", cfg.get("threshold", 0.5))
-    if "learning_rates" in grid:
-        kwargs["grid_learning_rates"] = tuple(grid["learning_rates"])
-    if "dropout_rates" in grid:
-        kwargs["grid_dropout_rates"] = tuple(grid["dropout_rates"])
-    if "hidden_sizes" in grid:
-        kwargs["grid_hidden_sizes"] = tuple(grid["hidden_sizes"])
     try:
+        if "learning_rates" in grid:
+            kwargs["grid_learning_rates"] = tuple(grid["learning_rates"])
+        if "dropout_rates" in grid:
+            kwargs["grid_dropout_rates"] = tuple(grid["dropout_rates"])
+        if "hidden_sizes" in grid:
+            kwargs["grid_hidden_sizes"] = tuple(grid["hidden_sizes"])
         return model_mod.TrainConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad train section: {exc}") from exc
@@ -97,6 +131,10 @@ def _explainer_config(cfg: dict) -> tuple[itshap_mod.ExplainerConfig, dict]:
     }
     if extras["steps"] not in ("final", "all"):
         raise ConfigError(f"itshap steps must be 'final' or 'all', got {extras['steps']!r}")
+    if not (is_integer(extras["max_patients"]) and extras["max_patients"] >= 1):
+        raise ConfigError(
+            f"itshap max_patients must be an integer >= 1, got {extras['max_patients']!r}"
+        )
     try:
         return itshap_mod.ExplainerConfig(**section), extras
     except TypeError as exc:
@@ -251,7 +289,7 @@ def cmd_explain(cfg: dict, args) -> int:
             cohort, fraction, RngStream(seeds[0]).child(100)
         )
         B = itshap_mod.background_matrix(train_c)
-        explained = test_c.patients[: int(extras["max_patients"])]
+        explained = test_c.patients[: extras["max_patients"]]
         explanations = []
         for p in explained:
             steps = [p.stay_length] if extras["steps"] == "final" else None

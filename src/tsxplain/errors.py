@@ -1,4 +1,8 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the value checks that
+config validation shares."""
+
+import math
+from numbers import Integral, Real
 
 
 class ShapeError(ValueError):
@@ -23,3 +27,14 @@ class ConfigError(ValueError):
 
 class NotTrainedError(RuntimeError):
     """A trained model was required but none is available."""
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is no count)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number that is not a bool (JSON ``NaN`` and
+    ``Infinity`` parse to floats)."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Cohort, write_long_csv
-from .errors import ConfigError, DataError, NotTrainedError
+from .errors import ConfigError, DataError, NotTrainedError, is_finite_real, is_integer
 from .model import TrainedModel, forward_prepared
 from .numerics import RngStream, weighted_least_squares
 
@@ -39,12 +38,17 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.mode not in ("cell", "timestep"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for name in ("n_samples", "exact_threshold", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
         if not (0 <= self.exact_threshold <= 16):
             raise ConfigError("exact_threshold must be in 0..16")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if not (is_finite_real(self.ridge) and self.ridge >= 0):
+            raise ConfigError("ridge must be a finite nonnegative number")
 
 
 @dataclass
@@ -106,6 +110,14 @@ def shap_kernel_weight(players: int, coalition_size: int) -> float:
     return (m - 1) / (math.comb(m, s) * s * (m - s))
 
 
+def _step_output(yhat: np.ndarray, explain_logit: bool) -> np.ndarray:
+    """The explained quantity: the probability, or its clipped logit."""
+    if explain_logit:
+        p = np.clip(yhat, 1e-12, 1.0 - 1e-12)
+        return np.log(p / (1.0 - p))
+    return yhat
+
+
 def _evaluate_coalitions(
     model: TrainedModel,
     X: np.ndarray,
@@ -129,14 +141,12 @@ def _evaluate_coalitions(
         inputs[:, :, :t] = np.where(zcols[:, None, :], masked[None], B[None, :, :t])
     else:
         inputs[:, :, :t] = masked[None]
-        for j, (f, tau) in enumerate(players):
-            off = ~Z[:, j]
-            inputs[off, f, tau] = B[f, tau]
+        f_idx, tau_idx = np.array(players, dtype=np.intp).reshape(m, 2).T
+        inputs[:, f_idx, tau_idx] = np.where(
+            Z, masked[f_idx, tau_idx], B[f_idx, tau_idx]
+        )
     yhat = forward_prepared(inputs, model.gru, model.attention)[:, t - 1]
-    if explain_logit:
-        p = np.clip(yhat, 1e-12, 1.0 - 1e-12)
-        return np.log(p / (1.0 - p))
-    return yhat
+    return _step_output(yhat, explain_logit)
 
 
 def _solve_constrained(
@@ -155,6 +165,44 @@ def _solve_constrained(
     return np.append(coeffs, total - coeffs.sum())
 
 
+def _coalitions(
+    m: int, cfg: ExplainerConfig, seed_index: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Interior coalitions Z (K, m) of an m-player game (m >= 2), their
+    kernel weights w (K,) and the ridge to solve them with.
+
+    Up to ``cfg.exact_threshold`` players every subset is listed, ordered by
+    size and then as ``itertools.combinations`` lists them. Larger games take
+    all singletons and sampled subsets, each followed by its complement.
+    """
+    kernel = np.array([shap_kernel_weight(m, s) for s in range(m + 1)])
+    if m <= cfg.exact_threshold:
+        codes = np.arange(1, 2**m - 1)
+        # player 0 is the most significant bit, so within one size the
+        # combinations order is descending code order
+        Z = ((codes[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(bool)
+        sizes = Z.sum(axis=1)
+        order = np.lexsort((-codes, sizes))
+        return Z[order], kernel[sizes[order]], 0.0
+
+    if cfg.n_samples < m + 2:
+        raise ConfigError(f"n_samples={cfg.n_samples} too small for {m} players")
+    gen = RngStream(cfg.seed).child(seed_index).generator()
+    sizes = np.arange(2, m - 1)
+    n_pairs = max((cfg.n_samples - 2 * m) // 2, 0) if sizes.size > 0 else 0
+    Z = np.zeros((2 * (m + n_pairs), m), dtype=bool)
+    Z[np.arange(0, 2 * m, 2), np.arange(m)] = True  # row 2j: singleton j
+    if sizes.size > 0:
+        # kernel(s) * comb(m, s) simplifies to (m - 1) / (s * (m - s))
+        probs = (m - 1) / (sizes * (m - sizes)).astype(np.float64)
+        probs = probs / probs.sum()
+        drawn = gen.choice(sizes, size=n_pairs, p=probs)
+        for row, s in zip(Z[2 * m :: 2], drawn):
+            row[gen.choice(m, size=int(s), replace=False)] = True
+    Z[1::2] = ~Z[0::2]  # each row is followed by its complement
+    return Z, kernel[Z.sum(axis=1)], cfg.ridge
+
+
 def shapley_values(
     value_fn, m: int, cfg: ExplainerConfig, seed_index: int = 0
 ) -> tuple[np.ndarray, float, float]:
@@ -171,52 +219,7 @@ def shapley_values(
         return np.zeros(0), empty, full
     if m == 1:
         return np.array([full - empty]), empty, full
-
-    if m <= cfg.exact_threshold:
-        rows, weights = [], []
-        for s in range(1, m):
-            wk = shap_kernel_weight(m, s)
-            for subset in combinations(range(m), s):
-                row = np.zeros(m, dtype=bool)
-                row[list(subset)] = True
-                rows.append(row)
-                weights.append(wk)
-        Z = np.array(rows)
-        w = np.array(weights)
-        ridge = 0.0
-    else:
-        if cfg.n_samples < m + 2:
-            raise ConfigError(
-                f"n_samples={cfg.n_samples} too small for {m} players"
-            )
-        gen = RngStream(cfg.seed).child(seed_index).generator()
-        rows, weights = [], []
-        for j in range(m):  # all singletons and their complements
-            row = np.zeros(m, dtype=bool)
-            row[j] = True
-            rows.append(row)
-            weights.append(shap_kernel_weight(m, 1))
-            rows.append(~row)
-            weights.append(shap_kernel_weight(m, m - 1))
-        sizes = np.arange(2, m - 1)
-        if sizes.size > 0:
-            # kernel(s) * comb(m, s) simplifies to (m - 1) / (s * (m - s))
-            probs = (m - 1) / (sizes * (m - sizes)).astype(np.float64)
-            probs = probs / probs.sum()
-            n_pairs = max((cfg.n_samples - len(rows)) // 2, 0)
-            drawn = gen.choice(sizes, size=n_pairs, p=probs)
-            for s in drawn:
-                subset = gen.choice(m, size=int(s), replace=False)
-                row = np.zeros(m, dtype=bool)
-                row[subset] = True
-                rows.append(row)
-                weights.append(shap_kernel_weight(m, int(s)))
-                rows.append(~row)
-                weights.append(shap_kernel_weight(m, m - int(s)))
-        Z = np.array(rows)
-        w = np.array(weights)
-        ridge = cfg.ridge
-
+    Z, w, ridge = _coalitions(m, cfg, seed_index)
     v = np.asarray(value_fn(Z), dtype=np.float64)
     phi = _solve_constrained(Z, v, w, empty, full, ridge)
     return phi, empty, full
@@ -258,10 +261,11 @@ def explain_patient(
     steps: Optional[Sequence[int]] = None,
     patient_id: Optional[str] = None,
 ) -> ImportanceMatrix:
-    """Explain each requested valid output step; in cell mode the F x T
-    attribution matrix comes from the final explained step's game, with
-    per-step base values retained. In timestep mode a lower-triangular
-    step-attribution table is stored instead."""
+    """Explain each requested valid output step. In cell mode only the final
+    explained step's game is played: it gives the F x T attribution matrix,
+    and the base values of the earlier steps come from one forward over the
+    background-filled stay. In timestep mode every step's game is played and
+    a lower-triangular step-attribution table is stored instead."""
     X = np.asarray(X, dtype=np.float64)
     M = np.asarray(M, dtype=np.float64)
     F, T = X.shape
@@ -278,17 +282,29 @@ def explain_patient(
 
     W = np.zeros((F, T))
     base = np.zeros(T)
-    table = np.zeros((T, T)) if cfg.mode == "timestep" else None
-    final_step = steps[-1]
-    for t in steps:
-        res = explain_step(model, X, M, t, B, cfg)
-        base[t - 1] = res.base
-        if cfg.mode == "timestep":
+    table = None
+    if cfg.mode == "timestep":
+        table = np.zeros((T, T))
+        for t in steps:
+            res = explain_step(model, X, M, t, B, cfg)
+            base[t - 1] = res.base
             for j, tau in enumerate(res.players):
                 table[t - 1, tau] = res.weights[j]
-        elif t == final_step:
-            for j, (f, tau) in enumerate(res.players):
-                W[f, tau] = res.weights[j]
+    else:
+        res = explain_step(model, X, M, steps[-1], B, cfg)
+        base[steps[-1] - 1] = res.base
+        for j, (f, tau) in enumerate(res.players):
+            W[f, tau] = res.weights[j]
+        if len(steps) > 1:
+            # The model is causal (per-column attention, in-order GRU): the
+            # empty coalition of step t, with every observed cell up to t set
+            # to B, has at t the value that one forward with every observed
+            # cell set to B has at t. Both are one-row forwards of the same
+            # shape, so the values agree bit for bit.
+            background = np.where(M == 1.0, B, X * M)
+            yhat = forward_prepared(background[None], model.gru, model.attention)[0]
+            earlier = np.array(steps[:-1]) - 1
+            base[earlier] = _step_output(yhat, cfg.explain_logit)[earlier]
     return ImportanceMatrix(
         W=W,
         base=base,

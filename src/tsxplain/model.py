@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ClassWeights, Cohort, FeatureSchema, compute_class_weights, kfold, split_train_test
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, is_finite_real
 from .numerics import RngStream, sigmoid, softmax_axis
 
 EPS = 1e-7
@@ -74,8 +74,9 @@ class TrainConfig:
     grid_hidden_sizes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        for lr in (self.learning_rate, *(self.grid_learning_rates or ())):
+            if not (is_finite_real(lr) and lr > 0):
+                raise ConfigError(f"learning rates must be finite and positive, got {lr!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must be in [0, 1)")
         for n in (self.hidden_size, self.max_epochs, self.batch_size, self.cv_folds):

@@ -1,16 +1,26 @@
 """Slow, literal reference implementations used only by tests: the
 two-branch sigmoid, one GRU step on a single column, forward and BPTT with
 per-step concatenation and per-step gradient accumulation, coalition
-perturbation one player at a time, and central-difference gradients."""
+perturbation one player at a time, IT-SHAP with coalitions built one row at
+a time and a full game played for every explained step, and
+central-difference gradients."""
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from tsxplain.errors import DataError, ShapeError
-from tsxplain.model import _loss_grad_yhat, GRUParams
-from tsxplain.numerics import sigmoid
+from tsxplain.errors import ConfigError, DataError, ShapeError
+from tsxplain.itshap import (
+    ImportanceMatrix,
+    _solve_constrained,
+    cell_players,
+    shap_kernel_weight,
+    timestep_players,
+)
+from tsxplain.model import _loss_grad_yhat, GRUParams, forward_prepared
+from tsxplain.numerics import RngStream, sigmoid
 
 
 def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
@@ -153,6 +163,117 @@ def perturb(
             if not coalition.z[j]:
                 out[f, tau] = B[f, tau]
     return out
+
+
+def coalitions_by_row(m: int, cfg, seed_index: int = 0):
+    """Interior coalitions of an m-player game (m >= 2) and their kernel
+    weights, one row and one ``shap_kernel_weight`` call at a time: every
+    subset in ``combinations`` order when m <= ``cfg.exact_threshold``,
+    otherwise the singletons and sampled subsets, each followed by its
+    complement. Returns (Z, w, ridge)."""
+    rows, weights = [], []
+    if m <= cfg.exact_threshold:
+        for s in range(1, m):
+            wk = shap_kernel_weight(m, s)
+            for subset in combinations(range(m), s):
+                row = np.zeros(m, dtype=bool)
+                row[list(subset)] = True
+                rows.append(row)
+                weights.append(wk)
+        return np.array(rows), np.array(weights), 0.0
+    if cfg.n_samples < m + 2:
+        raise ConfigError(f"n_samples={cfg.n_samples} too small for {m} players")
+    gen = RngStream(cfg.seed).child(seed_index).generator()
+    for j in range(m):  # all singletons and their complements
+        row = np.zeros(m, dtype=bool)
+        row[j] = True
+        rows.append(row)
+        weights.append(shap_kernel_weight(m, 1))
+        rows.append(~row)
+        weights.append(shap_kernel_weight(m, m - 1))
+    sizes = np.arange(2, m - 1)
+    if sizes.size > 0:
+        probs = (m - 1) / (sizes * (m - sizes)).astype(np.float64)
+        probs = probs / probs.sum()
+        n_pairs = max((cfg.n_samples - len(rows)) // 2, 0)
+        drawn = gen.choice(sizes, size=n_pairs, p=probs)
+        for s in drawn:
+            subset = gen.choice(m, size=int(s), replace=False)
+            row = np.zeros(m, dtype=bool)
+            row[subset] = True
+            rows.append(row)
+            weights.append(shap_kernel_weight(m, int(s)))
+            rows.append(~row)
+            weights.append(shap_kernel_weight(m, m - int(s)))
+    return np.array(rows), np.array(weights), cfg.ridge
+
+
+def coalition_inputs_by_player(X, M, t, B, players, mode, Z) -> np.ndarray:
+    """Model inputs (K, F, T) for the coalition rows of Z, switching off one
+    player at a time; columns from t on stay zero."""
+    K = Z.shape[0]
+    F, T = X.shape
+    masked = (X * M)[:, :t]
+    inputs = np.zeros((K, F, T))
+    if mode == "timestep":
+        zcols = np.zeros((K, t), dtype=bool)
+        zcols[:, list(players)] = Z
+        inputs[:, :, :t] = np.where(zcols[:, None, :], masked[None], B[None, :, :t])
+    else:
+        inputs[:, :, :t] = masked[None]
+        for j, (f, tau) in enumerate(players):
+            off = ~Z[:, j]
+            inputs[off, f, tau] = B[f, tau]
+    return inputs
+
+
+def explain_step_game(model, X, M, t, B, cfg):
+    """The full coalition game of step t: (weights, base, players, output)."""
+    players = timestep_players(t) if cfg.mode == "timestep" else cell_players(M, t)
+
+    def value(Z):
+        inputs = coalition_inputs_by_player(X, M, t, B, players, cfg.mode, Z)
+        yhat = forward_prepared(inputs, model.gru, model.attention)[:, t - 1]
+        if cfg.explain_logit:
+            p = np.clip(yhat, 1e-12, 1.0 - 1e-12)
+            return np.log(p / (1.0 - p))
+        return yhat
+
+    m = len(players)
+    full = float(value(np.ones((1, m), dtype=bool))[0])
+    empty = float(value(np.zeros((1, m), dtype=bool))[0])
+    if m == 0:
+        return np.zeros(0), empty, players, full
+    if m == 1:
+        return np.array([full - empty]), empty, players, full
+    Z, w, ridge = coalitions_by_row(m, cfg, seed_index=t)
+    phi = _solve_constrained(Z, value(Z), w, empty, full, ridge)
+    return phi, empty, players, full
+
+
+def explain_patient_every_step(model, X, M, B, cfg, stay_length, steps=None):
+    """IT-SHAP over a stay playing every requested step's full game: cell
+    mode keeps the final step's attributions and every step's base value,
+    timestep mode keeps every game in the step table."""
+    X = np.asarray(X, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    F, T = X.shape
+    if steps is None:
+        steps = range(1, stay_length + 1)
+    steps = sorted(set(int(t) for t in steps))
+    W = np.zeros((F, T))
+    base = np.zeros(T)
+    table = np.zeros((T, T)) if cfg.mode == "timestep" else None
+    for t in steps:
+        weights, base[t - 1], players, _ = explain_step_game(model, X, M, t, B, cfg)
+        if cfg.mode == "timestep":
+            for j, tau in enumerate(players):
+                table[t - 1, tau] = weights[j]
+        elif t == steps[-1]:
+            for j, (f, tau) in enumerate(players):
+                W[f, tau] = weights[j]
+    return ImportanceMatrix(W=W, base=base, method="itshap-" + cfg.mode,
+                            step_table=table)
 
 
 def finite_diff_grad(

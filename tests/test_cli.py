@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tsxplain import cli
+from tsxplain import cli, model
 from tsxplain.data import load_cohort
 
 
@@ -113,15 +113,28 @@ class TestTrain:
         assert f"patient {row[0]}" in err and "env_0" in err
         assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_loss_exit_4(self, tmp_path, capsys):
-        # the cohort loader rejects non-finite values, so a non-finite step
-        # size is what drives the weights, and the loss, to nan here
-        cfg_path, _ = write_config(tmp_path, {"train": {"learning_rate": float("inf")}})
+    def test_non_finite_loss_exit_4(self, tmp_path, capsys, monkeypatch):
+        # non-finite cohort values and step sizes are rejected before
+        # training, so the loss itself is made non-finite here
+        monkeypatch.setattr(model, "_epoch_loss", lambda *args: float("nan"))
+        cfg_path, _ = write_config(tmp_path)
         run(["synth", "--config", str(cfg_path)])
         capsys.readouterr()
         assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 4
         assert "non-finite loss" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("where", ["learning_rate", "grid"])
+    def test_bad_learning_rate_exit_2(self, tmp_path, capsys, where, value):
+        train = ({"learning_rate": value} if where == "learning_rate"
+                 else {"grid": {"learning_rates": [0.5, value]}})
+        cfg_path, _ = write_config(tmp_path, {"train": train})
+        run(["synth", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "learning rates" in err
         assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
 
     def test_single_class_cohort_exit_3(self, tmp_path):
@@ -188,6 +201,30 @@ class TestExplain:
         ) == 0
         assert (out / "importance_itshap_all.csv").exists()
         assert (out / "attributions_itshap_all.csv").exists()
+
+    @pytest.mark.parametrize("itshap", [
+        {"ridge": float("nan")},
+        {"ridge": float("inf")},
+        {"ridge": -1e-6},
+        {"max_patients": -58},
+        {"max_patients": 0},
+        {"max_patients": 2.5},
+        {"n_samples": 1024.5},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"exact_threshold": True},
+    ])
+    def test_itshap_bad_config_exit_2(self, prepared, capsys, itshap):
+        cfg_path, out = prepared
+        cfg = json.loads(cfg_path.read_text())
+        cfg["itshap"] = {"max_patients": 2, **itshap}
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(
+            ["explain", "--config", str(cfg_path), "--method", "itshap"]
+        ) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "importance_itshap_all.csv").exists()
 
     def test_itshap_unknown_steps_exit_2(self, prepared):
         cfg_path, out = prepared
@@ -270,6 +307,41 @@ class TestConfigHandling:
     def test_unknown_synth_key_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, {"synth": {"bogus_knob": 1}})
         assert run(["synth", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["synth", "train", "explain", "report"])
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys, command):
+        cfg_path, _ = write_config(tmp_path, {"seedz": [5]})
+        argv = [command, "--config", str(cfg_path)]
+        if command == "explain":
+            argv += ["--method", "cmi"]
+        assert run(argv) == 2
+        assert "unknown config keys: seedz" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_config_exit_2(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert run(["synth", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("synth", 5), ("train", [1]), ("cmi", "none"), ("itshap", None),
+        ("seeds", 5), ("seeds", [0, 1.5]), ("T", "8"), ("T", 8.0),
+        ("threshold", None), ("threshold", float("nan")),
+        ("train_fraction", "0.7"), ("out_dir", 3), ("cohort_csv", None),
+    ])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_badly_typed_top_level_value_exit_2(self, tmp_path, capsys, command,
+                                                key, value):
+        cfg_path, _ = write_config(tmp_path, {key: value})
+        assert run([command, "--config", str(cfg_path)]) == 2
+        assert f"config key '{key}' must be" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path, {"seeds": [0, -1]})
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        cfg_path, _ = write_config(tmp_path)
+        assert run(["synth", "--config", str(cfg_path), "--seed", "-2"]) == 2
+        assert not (tmp_path / "out" / "cohort.csv").exists()
 
     def test_bad_seed_flag_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)

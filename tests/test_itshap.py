@@ -4,10 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from tsxplain import itshap
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
     ExplainerConfig,
     ImportanceMatrix,
+    _coalitions,
     aggregate_by_class,
     background_matrix,
     cell_players,
@@ -17,11 +19,17 @@ from tsxplain.itshap import (
     shapley_values,
     timestep_players,
 )
-from tsxplain.model import TrainedModel, init_params, schema_fingerprint
+from tsxplain.model import TrainedModel, forward_prepared, init_params, schema_fingerprint
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
-from oracles import Coalition, perturb
+from oracles import (
+    Coalition,
+    coalition_inputs_by_player,
+    coalitions_by_row,
+    explain_patient_every_step,
+    perturb,
+)
 
 
 def permutation_shapley(value_fn, m):
@@ -53,6 +61,24 @@ def make_model(F=3, H=4, seed=0, use_attention=False) -> TrainedModel:
     return TrainedModel(
         gru=gru, attention=att, schema_fingerprint=schema_fingerprint(small_schema(F))
     )
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"ridge": float("nan")}, {"ridge": float("inf")}, {"ridge": -1.0},
+        {"ridge": True}, {"ridge": "1e-6"},
+        {"n_samples": 1024.5}, {"n_samples": True}, {"n_samples": 1},
+        {"exact_threshold": 4.0}, {"exact_threshold": 17},
+        {"seed": 1.5}, {"seed": False}, {"seed": -1},
+        {"mode": "cells"},
+    ])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExplainerConfig(**kwargs)
+
+    def test_accepted(self):
+        cfg = ExplainerConfig(n_samples=np.int64(64), ridge=0, seed=3, exact_threshold=0)
+        assert cfg.n_samples == 64
 
 
 class TestBackground:
@@ -406,3 +432,110 @@ class TestAggregate:
         c = toy_cohort([(None, 6)], F=3, T=6, seed=21)
         with pytest.raises(DataError):
             aggregate_by_class(self.make_expls(c, [0.1]), c, "positive")
+
+
+def _short_stays(F, T, seed):
+    """(X, M, stay) with stays from 1 to T and a few masked cells, all
+    patient-like: nothing observed after the stay."""
+    gen = RngStream(seed).generator()
+    out = []
+    for stay in range(1, T + 1):
+        X = gen.normal(size=(F, T))
+        M = (gen.random((F, T)) < 0.7).astype(float)
+        M[:, stay:] = 0.0
+        out.append((X, M, stay))
+    return out
+
+
+class TestFastPathOracles:
+    """The explainer against the reference in ``oracles``: coalitions built
+    row by row, inputs masked one player at a time, and a full game played
+    for every explained step. Everything must agree bit for bit."""
+
+    REGIMES = {
+        "exact": dict(exact_threshold=12),
+        "sampled": dict(exact_threshold=0, n_samples=96),
+        "mixed": dict(exact_threshold=4, n_samples=64),
+    }
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("mode", ["cell", "timestep"])
+    @pytest.mark.parametrize("explain_logit", [False, True])
+    @pytest.mark.parametrize("use_attention", [False, True])
+    def test_explain_patient(self, use_attention, explain_logit, mode, regime):
+        model = make_model(F=3, H=4, seed=11, use_attention=use_attention)
+        cfg = ExplainerConfig(mode=mode, explain_logit=explain_logit, seed=7,
+                              **self.REGIMES[regime])
+        B = RngStream(12).generator().normal(size=(3, 6)) * 0.3
+        for X, M, stay in _short_stays(3, 6, seed=13):
+            for steps in (None, [stay], sorted({1, (stay + 1) // 2, stay})):
+                got = explain_patient(model, X, M, B, cfg, stay_length=stay,
+                                      steps=steps)
+                want = explain_patient_every_step(model, X, M, B, cfg, stay,
+                                                  steps=steps)
+                assert np.array_equal(got.W, want.W)
+                assert np.array_equal(got.base, want.base)
+                if mode == "timestep":
+                    assert np.array_equal(got.step_table, want.step_table)
+                else:
+                    assert got.step_table is None
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_exact_coalitions(self, m):
+        cfg = ExplainerConfig(exact_threshold=16)
+        Z, w, ridge = _coalitions(m, cfg, 0)
+        Zo, wo, ridge_o = coalitions_by_row(m, cfg)
+        assert Z.dtype == Zo.dtype and np.array_equal(Z, Zo)
+        assert np.array_equal(w, wo) and ridge == ridge_o == 0.0
+
+    @pytest.mark.parametrize("m,n_samples", [
+        (2, 8), (3, 8), (4, 10), (5, 11), (7, 9), (9, 64), (30, 1024), (177, 1024),
+    ])
+    @pytest.mark.parametrize("seed_index", [1, 14])
+    def test_sampled_coalitions(self, m, n_samples, seed_index):
+        # the rows depend on the RNG stream: equal rows show that the same
+        # draws are made in the same order
+        cfg = ExplainerConfig(exact_threshold=0, n_samples=n_samples, seed=5)
+        Z, w, ridge = _coalitions(m, cfg, seed_index)
+        Zo, wo, ridge_o = coalitions_by_row(m, cfg, seed_index)
+        assert Z.dtype == Zo.dtype and np.array_equal(Z, Zo)
+        assert np.array_equal(w, wo) and ridge == ridge_o == cfg.ridge
+
+    @pytest.mark.parametrize("mode", ["cell", "timestep"])
+    def test_coalition_inputs(self, monkeypatch, mode):
+        model = make_model(F=3, H=4, seed=14)
+        B = RngStream(15).generator().normal(size=(3, 6))
+        batches = []
+
+        def recording_forward(Xin, gru, att):
+            batches.append(Xin.copy())
+            return forward_prepared(Xin, gru, att)
+
+        monkeypatch.setattr(itshap, "forward_prepared", recording_forward)
+        cfg = ExplainerConfig(mode=mode, exact_threshold=3, n_samples=40)
+        for X, M, stay in _short_stays(3, 6, seed=16):
+            batches.clear()
+            res = explain_step(model, X, M, stay, B, cfg)
+            m = len(res.players)
+            coalitions = [np.ones((1, m), dtype=bool), np.zeros((1, m), dtype=bool)]
+            if m > 1:
+                coalitions.append(coalitions_by_row(m, cfg, seed_index=stay)[0])
+            assert len(batches) == len(coalitions)
+            for got, Z in zip(batches, coalitions):
+                want = coalition_inputs_by_player(X, M, stay, B, res.players, mode, Z)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode,games", [("cell", 1), ("timestep", 5)])
+    def test_games_played(self, monkeypatch, mode, games):
+        played = []
+
+        def counting_step(*args):
+            played.append(args[3])
+            return explain_step(*args)
+
+        monkeypatch.setattr(itshap, "explain_step", counting_step)
+        model = make_model(F=3, H=4, seed=17)
+        X, M, stay = _short_stays(3, 6, seed=18)[4]
+        explain_patient(model, X, M, np.zeros((3, 6)), ExplainerConfig(mode=mode),
+                        stay_length=stay)
+        assert played == list(range(1, stay + 1))[-games:]
