@@ -101,16 +101,17 @@ def _synth_config(cfg: dict, seed: int) -> data_mod.SynthConfig:
 def _train_config(cfg: dict, seed: int) -> model_mod.TrainConfig:
     section = dict(cfg.get("train", {}))
     grid = section.pop("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"train grid must be a JSON object, got {grid!r}")
+    unknown = sorted(set(grid) - {"learning_rates", "dropout_rates", "hidden_sizes"})
+    if unknown:
+        raise ConfigError(f"unknown train grid keys: {', '.join(unknown)}")
     kwargs = dict(section)
     kwargs["seed"] = seed
     kwargs.setdefault("threshold", cfg.get("threshold", 0.5))
     try:
-        if "learning_rates" in grid:
-            kwargs["grid_learning_rates"] = tuple(grid["learning_rates"])
-        if "dropout_rates" in grid:
-            kwargs["grid_dropout_rates"] = tuple(grid["dropout_rates"])
-        if "hidden_sizes" in grid:
-            kwargs["grid_hidden_sizes"] = tuple(grid["hidden_sizes"])
+        for key, values in grid.items():
+            kwargs[f"grid_{key}"] = tuple(values)
         return model_mod.TrainConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad train section: {exc}") from exc

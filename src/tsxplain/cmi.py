@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Cohort, write_long_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_finite_real, is_integer
 
 MIN_VALID_SAMPLES = 10
 
@@ -29,8 +29,18 @@ class CmiConfig:
     max_conditioners: int = 2
 
     def __post_init__(self):
-        if self.n_bins < 2:
-            raise ConfigError("n_bins must be at least 2")
+        if not (is_integer(self.n_bins) and self.n_bins >= 2):
+            raise ConfigError(f"n_bins must be an integer >= 2, got {self.n_bins!r}")
+        if not (is_integer(self.max_conditioners) and self.max_conditioners >= 0):
+            raise ConfigError(
+                f"max_conditioners must be an integer >= 0, got {self.max_conditioners!r}"
+            )
+        if not (self.top_k is None or (is_integer(self.top_k) and self.top_k >= 1)):
+            raise ConfigError(f"top_k must be an integer >= 1 or null, got {self.top_k!r}")
+        if not (self.threshold is None or is_finite_real(self.threshold)):
+            raise ConfigError(
+                f"threshold must be a finite number or null, got {self.threshold!r}"
+            )
         if self.binning not in ("equal_frequency", "equal_width"):
             raise ConfigError(f"unknown binning {self.binning!r}")
         if self.conditioning not in ("none", "greedy_selected"):
@@ -46,66 +56,54 @@ class CmiScores:
         return self.valid_counts < MIN_VALID_SAMPLES
 
 
-def _codes(samples) -> np.ndarray:
-    arr = np.asarray(samples)
-    if arr.size == 0:
+def _codes(*columns) -> np.ndarray:
+    """Joint codes of the sample rows, numbered in lexicographic row order.
+
+    Each argument is one variable (1-D) or several (2-D, one per column).
+    Each variable is ranked by a 1-D ``np.unique``, folded into the running
+    code as its less significant digit and the result ranked again, so every
+    key stays below n * (number of levels) and ``bincount`` of the codes
+    lists the counts in the order ``np.unique(axis=0)`` finds the rows.
+    """
+    arrays = [np.asarray(c) for c in columns]
+    if any(a.ndim not in (1, 2) for a in arrays):
+        raise DataError("samples must be 1-D or 2-D")
+    if not arrays or any(a.size == 0 for a in arrays):
         raise DataError("samples must be nonempty")
-    if arr.ndim == 1:
-        _, codes = np.unique(arr, return_inverse=True)
-        return codes
-    if arr.ndim == 2:
-        # joint alphabet over columns
-        _, codes = np.unique(arr, axis=0, return_inverse=True)
-        return codes
-    raise DataError("samples must be 1-D or 2-D")
+    if len({a.shape[0] for a in arrays}) > 1:
+        raise DataError("paired samples must have equal lengths")
+    codes = None
+    for a in arrays:
+        for col in a.reshape(a.shape[0], -1).T:
+            levels, rank = np.unique(col, return_inverse=True)
+            if codes is None:
+                codes = rank
+            else:
+                _, codes = np.unique(codes * levels.size + rank, return_inverse=True)
+    return codes
 
 
-def _entropy_from_codes(codes: np.ndarray) -> float:
+def entropy(*columns) -> float:
+    """Shannon entropy in bits (0 log 0 = 0) of a discrete sample, or the
+    joint entropy of several paired ones (see ``_codes``)."""
+    codes = _codes(*columns)
     counts = np.bincount(codes)
-    counts = counts[counts > 0]
     p = counts / codes.shape[0]
     return float(-np.sum(p * np.log2(p)))
 
 
-def entropy(samples) -> float:
-    """Shannon entropy of a discrete sample, in bits (0 log 0 = 0)."""
-    return _entropy_from_codes(_codes(samples))
-
-
-def _paired(*columns) -> np.ndarray:
-    cols = []
-    length = None
-    for c in columns:
-        arr = np.asarray(c)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if length is None:
-            length = arr.shape[0]
-        elif arr.shape[0] != length:
-            raise DataError("paired samples must have equal lengths")
-        cols.append(_codes_matrix(arr))
-    return np.concatenate(cols, axis=1)
-
-
-def _codes_matrix(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(arr.shape, dtype=np.int64)
-    for j in range(arr.shape[1]):
-        _, out[:, j] = np.unique(arr[:, j], return_inverse=True)
-    return out
-
-
 def joint_entropy(a, b) -> float:
-    return entropy(_paired(a, b))
+    return entropy(a, b)
 
 
 def conditional_entropy(a, b) -> float:
     """H(a | b) = H(a, b) - H(b)."""
-    return joint_entropy(a, b) - entropy(_paired(b))
+    return joint_entropy(a, b) - entropy(b)
 
 
 def mutual_information(a, b) -> float:
     """I(a; b) = H(a) - H(a | b), in bits."""
-    return entropy(_paired(a)) - conditional_entropy(a, b)
+    return entropy(a) - conditional_entropy(a, b)
 
 
 def conditional_mutual_information(a, b, z) -> float:
@@ -113,12 +111,7 @@ def conditional_mutual_information(a, b, z) -> float:
 
     ``z`` may be one or several conditioning columns (1-D or 2-D).
     """
-    return (
-        entropy(_paired(a, z))
-        + entropy(_paired(b, z))
-        - entropy(_paired(a, b, z))
-        - entropy(_paired(z))
-    )
+    return entropy(a, z) + entropy(b, z) - entropy(a, b, z) - entropy(z)
 
 
 def discretize(values: np.ndarray, n_bins: int, binning: str) -> np.ndarray:
@@ -137,17 +130,6 @@ def discretize(values: np.ndarray, n_bins: int, binning: str) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
-def _cell_samples(c: Cohort, f: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, labels, and patient indices for (f, t) over observed patients."""
-    vals, labels, who = [], [], []
-    for i, p in enumerate(c.patients):
-        if t < p.stay_length and p.M[f, t] == 1.0:
-            vals.append(p.X[f, t])
-            labels.append(p.y[t])
-            who.append(i)
-    return np.asarray(vals), np.asarray(labels), np.asarray(who, dtype=np.int64)
-
-
 def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
     """Score every (feature, time step) cell against the step label.
 
@@ -155,8 +137,10 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
     between the (discretized) feature and the label. With "greedy_selected"
     features at each step are scored sequentially, each conditioned on the
     joint of the already-selected features at that step (capped at
-    ``max_conditioners``). Cells with fewer than 10 observed samples are
-    left at 0 and flagged absent via valid_counts.
+    ``max_conditioners``) over the patients observed for all of them; when
+    fewer than 10 are, the feature gets its unconditioned score. Cells with
+    fewer than 10 observed samples are left at 0 and flagged absent via
+    valid_counts.
     """
     if not c.patients:
         raise DataError("cohort is empty")
@@ -165,52 +149,37 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
     counts = np.zeros((F, T), dtype=np.int64)
 
     for t in range(T):
-        cell: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for f in range(F):
-            vals, labels, who = _cell_samples(c, f, t)
-            counts[f, t] = len(vals)
-            if len(vals) < MIN_VALID_SAMPLES:
-                continue
+        # (n, F) values and observed flags at step t; validation keeps the
+        # mask zero beyond each stay, so the flags also mark the valid steps
+        X = np.array([p.X[:, t] for p in c.patients])
+        seen = np.array([p.M[:, t] for p in c.patients]) == 1.0
+        y = np.array([p.y[t] for p in c.patients])
+        counts[:, t] = seen.sum(axis=0)
+        scored = [f for f in range(F) if counts[f, t] >= MIN_VALID_SAMPLES]
+        for f in scored:
             if c.schema.features[f].kind == "numeric":
-                vals = discretize(vals, cfg.n_bins, cfg.binning)
-            cell[f] = (vals, labels, who)
+                X[seen[:, f], f] = discretize(X[seen[:, f], f], cfg.n_bins, cfg.binning)
+
+        def score(f: int, conditioners: list[int]) -> float:
+            if conditioners:
+                common = seen[:, [f, *conditioners]].all(axis=1)
+                if common.sum() >= MIN_VALID_SAMPLES:
+                    return conditional_mutual_information(
+                        X[common, f], y[common], X[np.ix_(common, conditioners)]
+                    )
+            return mutual_information(X[seen[:, f], f], y[seen[:, f]])
 
         if cfg.conditioning == "none":
-            for f, (vals, labels, _) in cell.items():
-                S[f, t] = mutual_information(vals, labels)
-        else:
-            remaining = sorted(cell)
-            selected: list[int] = []
-            while remaining:
-                best_f, best_score = None, None
-                for f in remaining:
-                    score = _greedy_score(cell, f, selected[: cfg.max_conditioners])
-                    if best_score is None or score > best_score:
-                        best_f, best_score = f, score
-                S[best_f, t] = best_score
-                selected.append(best_f)
-                remaining.remove(best_f)
+            for f in scored:
+                S[f, t] = score(f, [])
+            continue
+        selected: list[int] = []
+        while scored:
+            scores = [score(f, selected[: cfg.max_conditioners]) for f in scored]
+            best = int(np.argmax(scores))  # the first of equal best scores
+            S[scored[best], t] = scores[best]
+            selected.append(scored.pop(best))
     return CmiScores(S=S, valid_counts=counts)
-
-
-def _greedy_score(cell, f: int, conditioners: list[int]) -> float:
-    vals, labels, who = cell[f]
-    if not conditioners:
-        return mutual_information(vals, labels)
-    # restrict to patients observed for the feature and all conditioners
-    common = who
-    for g in conditioners:
-        common = np.intersect1d(common, cell[g][2], assume_unique=True)
-    if len(common) < MIN_VALID_SAMPLES:
-        return mutual_information(vals, labels)
-    pick = np.isin(who, common)
-    z_cols = []
-    for g in conditioners:
-        gvals, _, gwho = cell[g]
-        z_cols.append(gvals[np.isin(gwho, common)])
-    return conditional_mutual_information(
-        vals[pick], labels[pick], np.stack(z_cols, axis=1)
-    )
 
 
 def select_features(s: CmiScores, cfg: CmiConfig) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, is_finite_real, is_integer
 from .numerics import RngStream, sigmoid
 
 KINDS = ("binary", "numeric")
@@ -252,22 +252,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_patients <= 0:
-            raise DataError("n_patients must be positive")
-        for n in (
-            self.n_previous_culture,
-            self.n_antibiotic,
-            self.n_environment,
-            self.n_care,
-        ):
-            if n <= 0:
-                raise DataError("per-group feature counts must be positive")
+        for name in ("n_patients", "n_previous_culture", "n_antibiotic",
+                     "n_environment", "n_care", "T", "seed"):
+            value = getattr(self, name)
+            least = 0 if name == "seed" else 1
+            if not (is_integer(value) and value >= least):
+                raise ConfigError(f"synth {name} must be an integer >= {least}, got {value!r}")
+        for name in ("mdr_fraction", "signal_strength", "missing_rate", "mean_stay"):
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ConfigError(f"synth {name} must be a finite number, got {value!r}")
         if not (0.0 <= self.mdr_fraction < 1.0):
-            raise DataError("mdr_fraction must be in [0, 1)")
+            raise ConfigError("mdr_fraction must be in [0, 1)")
         if not (0.0 <= self.missing_rate < 1.0):
-            raise DataError("missing_rate must be in [0, 1)")
-        if self.T < 1 or self.mean_stay <= 0:
-            raise DataError("T and mean_stay must be positive")
+            raise ConfigError("missing_rate must be in [0, 1)")
+        if self.mean_stay <= 0:
+            raise ConfigError("mean_stay must be positive")
 
 
 def synth_schema(cfg: SynthConfig) -> FeatureSchema:

@@ -49,6 +49,8 @@ class ExplainerConfig:
             raise ConfigError("seed must be nonnegative")
         if not (is_finite_real(self.ridge) and self.ridge >= 0):
             raise ConfigError("ridge must be a finite nonnegative number")
+        if not isinstance(self.explain_logit, bool):
+            raise ConfigError(f"explain_logit must be true or false, got {self.explain_logit!r}")
 
 
 @dataclass

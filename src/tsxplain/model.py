@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .data import ClassWeights, Cohort, FeatureSchema, compute_class_weights, kfold, split_train_test
-from .errors import ConfigError, DataError, ShapeError, is_finite_real
-from .numerics import RngStream, sigmoid, softmax_axis
+from .errors import ConfigError, DataError, ShapeError, is_finite_real, is_integer
+from .numerics import RngStream, sigmoid, softmax, softmax_axis
 
 EPS = 1e-7
 
@@ -77,13 +77,18 @@ class TrainConfig:
         for lr in (self.learning_rate, *(self.grid_learning_rates or ())):
             if not (is_finite_real(lr) and lr > 0):
                 raise ConfigError(f"learning rates must be finite and positive, got {lr!r}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError("dropout_rate must be in [0, 1)")
-        for n in (self.hidden_size, self.max_epochs, self.batch_size, self.cv_folds):
-            if n <= 0:
-                raise ConfigError("counts must be positive")
-        if self.patience < 0:
-            raise ConfigError("patience must be nonnegative")
+        for dr in (self.dropout_rate, *(self.grid_dropout_rates or ())):
+            if not (is_finite_real(dr) and 0.0 <= dr < 1.0):
+                raise ConfigError(f"dropout rates must be in [0, 1), got {dr!r}")
+        counts = [("hidden_size", self.hidden_size, 1), ("max_epochs", self.max_epochs, 1),
+                  ("patience", self.patience, 0), ("batch_size", self.batch_size, 1),
+                  ("seed", self.seed, 0), ("cv_folds", self.cv_folds, 1)]
+        counts += [("grid hidden_sizes", h, 1) for h in self.grid_hidden_sizes or ()]
+        for name, value, least in counts:
+            if not (is_integer(value) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not is_finite_real(self.threshold):
+            raise ConfigError(f"threshold must be a finite number, got {self.threshold!r}")
 
     def grid_points(self) -> list[tuple[float, float, int]]:
         lrs = self.grid_learning_rates
@@ -165,9 +170,7 @@ def _forward_core(
     H = gru.hidden_size
     if att is not None:
         pre = np.einsum("fg,ngt->nft", att.W, Xin) + att.b[None, :, None]
-        shifted = pre - pre.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        A = e / e.sum(axis=1, keepdims=True)
+        A = softmax(pre, axis=1)  # over features, as in attention_matrix
         Xeff = Xin * A
     else:
         A = None

@@ -56,9 +56,16 @@ def softmax_axis(m: np.ndarray, axis: str) -> np.ndarray:
         ax = 0
     else:
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    shifted = m - np.max(m, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=ax, keepdims=True)
+    return softmax(m, ax)
+
+
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along an integer ``axis`` of an array of any rank, stabilized
+    by max subtraction; no checks (``softmax_axis`` is the checked form)."""
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def weighted_least_squares(

@@ -2,8 +2,10 @@
 two-branch sigmoid, one GRU step on a single column, forward and BPTT with
 per-step concatenation and per-step gradient accumulation, coalition
 perturbation one player at a time, IT-SHAP with coalitions built one row at
-a time and a full game played for every explained step, and
-central-difference gradients."""
+a time and a full game played for every explained step, CMI screening that
+gathers each (feature, step) cell's samples patient by patient and codes
+joint alphabets with ``np.unique(axis=0)``, and central-difference
+gradients."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -11,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from tsxplain.cmi import MIN_VALID_SAMPLES, discretize
 from tsxplain.errors import ConfigError, DataError, ShapeError
 from tsxplain.itshap import (
     ImportanceMatrix,
@@ -289,3 +292,108 @@ def finite_diff_grad(
         e.flat[j] = h
         g.flat[j] = (f(p + e) - f(p - e)) / (2.0 * h)
     return g
+
+
+def entropy_unique_rows(samples) -> float:
+    """Plug-in entropy in bits of a 1-D sample or of the rows of a 2-D one,
+    the joint alphabet found by ``np.unique(axis=0)``."""
+    arr = np.asarray(samples)
+    if arr.size == 0:
+        raise DataError("samples must be nonempty")
+    if arr.ndim == 1:
+        _, codes = np.unique(arr, return_inverse=True)
+    elif arr.ndim == 2:
+        _, codes = np.unique(arr, axis=0, return_inverse=True)
+    else:
+        raise DataError("samples must be 1-D or 2-D")
+    counts = np.bincount(codes.ravel())
+    counts = counts[counts > 0]
+    p = counts / codes.shape[0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _ranked_columns(*columns) -> np.ndarray:
+    """Each column replaced by its ``np.unique`` rank, side by side."""
+    cols = []
+    for c in columns:
+        arr = np.asarray(c)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        out = np.empty(arr.shape, dtype=np.int64)
+        for j in range(arr.shape[1]):
+            _, out[:, j] = np.unique(arr[:, j], return_inverse=True)
+        cols.append(out)
+    return np.concatenate(cols, axis=1)
+
+
+def mutual_information_unique_rows(a, b) -> float:
+    h_a = entropy_unique_rows(_ranked_columns(a))
+    return h_a - (entropy_unique_rows(_ranked_columns(a, b))
+                  - entropy_unique_rows(_ranked_columns(b)))
+
+
+def cmi_unique_rows(a, b, z) -> float:
+    return (
+        entropy_unique_rows(_ranked_columns(a, z))
+        + entropy_unique_rows(_ranked_columns(b, z))
+        - entropy_unique_rows(_ranked_columns(a, b, z))
+        - entropy_unique_rows(_ranked_columns(z))
+    )
+
+
+def cmi_scores_by_cell(c, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(S, valid_counts) of CMI screening with each cell's samples gathered
+    one patient at a time, greedy conditioning sets intersected as index
+    lists and joint alphabets coded with ``np.unique(axis=0)``."""
+    if not c.patients:
+        raise DataError("cohort is empty")
+    F, T = c.F, c.T
+    S = np.zeros((F, T))
+    counts = np.zeros((F, T), dtype=np.int64)
+    for t in range(T):
+        cell = {}
+        for f in range(F):
+            vals, labels, who = [], [], []
+            for i, p in enumerate(c.patients):
+                if t < p.stay_length and p.M[f, t] == 1.0:
+                    vals.append(p.X[f, t])
+                    labels.append(p.y[t])
+                    who.append(i)
+            vals, labels = np.asarray(vals), np.asarray(labels)
+            counts[f, t] = len(vals)
+            if len(vals) < MIN_VALID_SAMPLES:
+                continue
+            if c.schema.features[f].kind == "numeric":
+                vals = discretize(vals, cfg.n_bins, cfg.binning)
+            cell[f] = (vals, labels, np.asarray(who, dtype=np.int64))
+
+        if cfg.conditioning == "none":
+            for f, (vals, labels, _) in cell.items():
+                S[f, t] = mutual_information_unique_rows(vals, labels)
+            continue
+        remaining = sorted(cell)
+        selected = []
+        while remaining:
+            best_f, best_score = None, None
+            for f in remaining:
+                score = _greedy_score_by_lists(cell, f, selected[: cfg.max_conditioners])
+                if best_score is None or score > best_score:
+                    best_f, best_score = f, score
+            S[best_f, t] = best_score
+            selected.append(best_f)
+            remaining.remove(best_f)
+    return S, counts
+
+
+def _greedy_score_by_lists(cell, f, conditioners) -> float:
+    vals, labels, who = cell[f]
+    if not conditioners:
+        return mutual_information_unique_rows(vals, labels)
+    common = who
+    for g in conditioners:
+        common = np.intersect1d(common, cell[g][2], assume_unique=True)
+    if len(common) < MIN_VALID_SAMPLES:
+        return mutual_information_unique_rows(vals, labels)
+    pick = np.isin(who, common)
+    z_cols = [cell[g][0][np.isin(cell[g][2], common)] for g in conditioners]
+    return cmi_unique_rows(vals[pick], labels[pick], np.stack(z_cols, axis=1))

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsxplain import cli, model
+from tsxplain import evaluation as eval_mod
 from tsxplain.data import load_cohort
 
 
@@ -34,6 +37,20 @@ def write_config(tmp_path, extra=None, name="config.json"):
 
 def run(argv):
     return cli.main(argv)
+
+
+def write_metrics(tmp_path):
+    """A config and the two aggregate metric files ``report`` reads, written
+    by ``save_metric_series`` for T = 3 without training."""
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    for variant, shift in (("gru", 0.0), ("attention", 0.1)):
+        runs = [{m: [0.7 - shift, None, 0.5 + r / 10] for m in eval_mod.METRICS}
+                for r in range(2)]
+        eval_mod.save_metric_series(eval_mod.aggregate_repeats(runs),
+                                    out / f"metrics_{variant}.csv")
+    return cfg_path, out
 
 
 class TestSynth:
@@ -162,6 +179,19 @@ class TestExplain:
         assert (out / "importance_cmi_all.pgm").exists()
         assert (out / "importance_cmi_all.pgm.scale.txt").exists()
 
+    @pytest.mark.parametrize("cmi", [
+        {"max_conditioners": 1.5}, {"max_conditioners": -1}, {"n_bins": 2.5},
+        {"n_bins": True}, {"top_k": 2.5}, {"top_k": -2}, {"top_k": 0},
+        {"threshold": "x"}, {"threshold": float("nan")},
+    ])
+    def test_cmi_bad_config_exit_2(self, tmp_path, capsys, cmi):
+        cfg_path, _ = write_config(tmp_path, {"cmi": cmi})
+        run(["synth", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert run(["explain", "--config", str(cfg_path), "--method", "cmi"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "importance_cmi_all.csv").exists()
+
     def test_attention_method(self, prepared):
         cfg_path, out = prepared
         assert run(
@@ -213,6 +243,8 @@ class TestExplain:
         {"seed": 1.5},
         {"seed": -1},
         {"exact_threshold": True},
+        {"explain_logit": "yes"},
+        {"explain_logit": 1},
     ])
     def test_itshap_bad_config_exit_2(self, prepared, capsys, itshap):
         cfg_path, out = prepared
@@ -294,6 +326,42 @@ class TestReport:
         cfg_path, _ = write_config(tmp_path)
         assert run(["report", "--config", str(cfg_path)]) == 3
 
+    def test_written_metrics_accepted(self, tmp_path):
+        cfg_path, out = write_metrics(tmp_path)
+        assert run(["report", "--config", str(cfg_path)]) == 0
+        assert "nan" not in (out / "delta_report.csv").read_text()
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[1].__setitem__(0, "auroc"),  # unknown metric
+        lambda rows: rows[1].__setitem__(1, "-3"),
+        lambda rows: rows[1].__setitem__(1, "0"),
+        lambda rows: rows[1].__setitem__(1, "4"),  # a gap: steps 2, 3, 4
+        lambda rows: rows[2].__setitem__(1, "1"),  # step 1 twice
+        lambda rows: rows[1].__setitem__(1, "1.5"),  # non-integer step
+        lambda rows: rows[1].pop(),  # short row
+        lambda rows: rows[1].append("0"),  # long row
+        lambda rows: rows[1].__setitem__(2, "nan"),
+        lambda rows: rows[1].__setitem__(3, "inf"),
+        lambda rows: rows[1].__setitem__(3, ""),  # mean without std
+        lambda rows: rows[1].__setitem__(4, "-1"),  # negative n_defined
+        lambda rows: rows[1].__setitem__(4, "x"),
+        lambda rows: rows.__setitem__(0, ["metric", "t", "value"]),  # header
+        lambda rows: rows.__delitem__(slice(None)),  # empty file
+        lambda rows: rows.__delitem__(slice(7, None)),  # specificity missing
+    ])
+    def test_malformed_metrics_exit_3(self, tmp_path, capsys, edit):
+        cfg_path, out = write_metrics(tmp_path)
+        path = out / "metrics_attention.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["report", "--config", str(cfg_path)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (out / "delta_report.csv").exists()
+
 
 class TestConfigHandling:
     def test_missing_config_exit_2(self, tmp_path):
@@ -336,6 +404,33 @@ class TestConfigHandling:
         assert run([command, "--config", str(cfg_path)]) == 2
         assert f"config key '{key}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synth", [
+        {"n_patients": 30.5}, {"n_patients": True}, {"n_patients": 0},
+        {"n_care": 2.0}, {"n_antibiotic": 0}, {"T": 2.5}, {"seed": -1},
+        {"seed": 1.5}, {"mdr_fraction": 1.0}, {"missing_rate": float("nan")},
+        {"mean_stay": 0}, {"signal_strength": "4"}, {"signal_strength": float("inf")},
+    ])
+    def test_bad_synth_field_exit_2(self, tmp_path, capsys, synth):
+        cfg_path, _ = write_config(tmp_path, {"synth": synth})
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cohort.csv").exists()
+
+    @pytest.mark.parametrize("train", [
+        {"max_epochs": 2.5}, {"max_epochs": True}, {"hidden_size": 0},
+        {"patience": -1}, {"patience": 1.5}, {"batch_size": "16"}, {"cv_folds": 2.0},
+        {"dropout_rate": float("nan")}, {"threshold": "x"},
+        {"grid": {"hidden_sizes": [2.5]}}, {"grid": {"dropout_rates": [0.0, 1.0]}},
+        {"grid": {"learning_rate": [0.5]}}, {"grid": [0.5]},
+    ])
+    def test_bad_train_field_exit_2(self, tmp_path, capsys, train):
+        cfg_path, _ = write_config(tmp_path, {"train": train})
+        run(["synth", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
+
     def test_negative_seed_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, {"seeds": [0, -1]})
         assert run(["synth", "--config", str(cfg_path)]) == 2
@@ -366,3 +461,108 @@ class TestHeatmap:
         cli.save_heatmap_pgm(np.full((2, 3), 1.5), tmp_path / "flat.pgm")
         lines = (tmp_path / "flat.pgm").read_text().splitlines()
         assert lines[3].split() == ["0", "0", "0"]
+
+
+# Fuzzed inputs: whatever the values, a command ends in a documented exit
+# code (0, 2 config, 3 data, 4 runtime) and never raises, which would print
+# a traceback. Numbers stay small so that accepted values run quickly.
+FUZZ_VALUES = st.one_of(
+    # half the draws are values that many fields accept, so runs also succeed
+    st.one_of(st.integers(1, 4), st.sampled_from([0.0, 0.25, 0.5])),
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 4),
+        st.sampled_from([2.5, -0.5, 1e308, float("nan"), float("inf")]),
+        st.sampled_from(["", "x", "none", "greedy_selected", "equal_width",
+                         "timestep", "all"]),
+        st.lists(st.integers(-1, 3), max_size=2),
+        st.dictionaries(st.sampled_from(["learning_rates", "hidden_sizes", "lr"]),
+                        st.lists(st.sampled_from([0.5, 1, 2.5, -1]), max_size=2),
+                        max_size=2),
+    ),
+)
+SECTION_FIELDS = {
+    "synth": ["n_patients", "mdr_fraction", "n_previous_culture", "n_antibiotic",
+              "n_environment", "n_care", "signal_strength", "missing_rate",
+              "mean_stay", "T", "seed", "bogus"],
+    "train": ["learning_rate", "dropout_rate", "hidden_size", "max_epochs", "patience",
+              "batch_size", "cv_folds", "threshold", "grid", "bogus"],
+    "cmi": ["n_bins", "binning", "conditioning", "top_k", "threshold",
+            "max_conditioners", "bogus"],
+    "itshap": ["mode", "n_samples", "ridge", "exact_threshold", "seed",
+               "explain_logit", "max_patients", "steps", "bogus"],
+}
+METRIC_CELLS = st.sampled_from([
+    "roc_auc", "sensitivity", "specificity", "auroc", "", "0", "1", "2", "3", "-3",
+    "1.5", "0.7", " 2", "nan", "inf", "x",
+])
+FUZZ_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A cohort, a plain-GRU checkpoint for seed 0 and the two metric files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg_path, _ = write_config(root)
+    assert run(["synth", "--config", str(cfg_path)]) == 0
+    assert run(["train", "--config", str(cfg_path), "--seed", "0", "--attention", "off"]) == 0
+    write_metrics(root)
+    return root
+
+
+class TestFuzz:
+    @given(section=st.sampled_from(sorted(SECTION_FIELDS)), data=st.data())
+    @FUZZ_SETTINGS
+    def test_section_values(self, fuzz_dir, section, data):
+        key = data.draw(st.sampled_from(SECTION_FIELDS[section]), label="key")
+        value = data.draw(FUZZ_VALUES, label="value")
+        out = fuzz_dir / "out"
+        cfg = json.loads((fuzz_dir / "config.json").read_text())
+        # commands that write a cohort or checkpoints get their own directory
+        cfg["out_dir"] = str(out if section in ("cmi", "itshap") else fuzz_dir / section)
+        if section != "synth":
+            cfg["cohort_csv"] = str(out / "cohort.csv")
+            cfg["schema"] = str(out / "schema.txt")
+        if section == "synth":
+            cfg["synth"] = {"n_patients": 20, key: value}
+            argv = ["synth"]
+        elif section == "train":
+            cfg["train"] = {"max_epochs": 2, "hidden_size": 2, "batch_size": 16,
+                            key: value}
+            argv = ["train", "--seed", "0", "--attention", "off"]
+        else:
+            base = {"max_patients": 2, "n_samples": 256} if section == "itshap" else {}
+            cfg[section] = {**base, key: value}
+            argv = ["explain", "--method", section]
+        cfg_path = fuzz_dir / f"fuzz_{section}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(argv + ["--config", str(cfg_path)]) in (0, 2, 3, 4)
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5), METRIC_CELLS),
+                       max_size=3),
+        raw=st.one_of(st.none(), st.binary(max_size=60)),
+    )
+    @FUZZ_SETTINGS
+    def test_metrics_csv(self, fuzz_dir, edits, raw):
+        out = fuzz_dir / "out"
+        cfg_path = fuzz_dir / "config.json"
+        write_metrics(fuzz_dir)
+        path = out / "metrics_attention.csv"
+        if raw is not None:
+            path.write_bytes(raw)
+        else:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            for r, c, cell in edits:
+                row = rows[r]
+                if c < len(row):
+                    row[c] = cell
+                else:
+                    row.append(cell)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        (out / "delta_report.csv").unlink(missing_ok=True)
+        code = run(["report", "--config", str(cfg_path)])
+        assert code in (0, 3)
+        if code == 0:
+            assert "nan" not in (out / "delta_report.csv").read_text()

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsxplain.cmi import (
+    MIN_VALID_SAMPLES,
     CmiConfig,
     CmiScores,
+    _codes,
     cmi_feature_scores,
     conditional_entropy,
     conditional_mutual_information,
@@ -15,11 +17,12 @@ from tsxplain.cmi import (
     mutual_information,
     select_features,
 )
-from tsxplain.data import Cohort, PatientRecord, build_labels
+from tsxplain.data import Cohort, PatientRecord, SynthConfig, build_labels, synth_cohort
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
+from oracles import cmi_scores_by_cell, entropy_unique_rows
 
 
 class TestEntropy:
@@ -265,3 +268,126 @@ class TestSelectFeatures:
             CmiConfig(n_bins=1)
         with pytest.raises(ConfigError):
             CmiConfig(binning="kmeans")
+
+    @pytest.mark.parametrize("cfg", [
+        {"n_bins": 1}, {"n_bins": 2.5}, {"n_bins": True}, {"n_bins": "8"},
+        {"max_conditioners": -1}, {"max_conditioners": 1.5}, {"max_conditioners": None},
+        {"top_k": 0}, {"top_k": -2}, {"top_k": 2.5}, {"top_k": True},
+        {"threshold": "x"}, {"threshold": float("nan")}, {"threshold": float("inf")},
+        {"threshold": False},
+    ])
+    def test_rejected_fields(self, cfg):
+        with pytest.raises(ConfigError):
+            CmiConfig(**cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        {"n_bins": 2}, {"max_conditioners": 0}, {"top_k": 1}, {"top_k": None},
+        {"threshold": 0}, {"threshold": -0.5}, {"threshold": None},
+    ])
+    def test_accepted_fields(self, cfg):
+        CmiConfig(**cfg)
+
+
+# column values for the joint coder: small ints, and floats that include
+# both zeros (equal under ``np.unique``) and far-apart magnitudes
+INT_COLUMN = st.integers(-3, 3)
+FLOAT_COLUMN = st.sampled_from([-0.0, 0.0, 1.5, -2.25, 3.0, 1e300, -1e-300])
+
+
+class TestJointCoder:
+    """``_codes`` and ``entropy`` against ``np.unique(axis=0)`` over the rows."""
+
+    @staticmethod
+    def check(columns):
+        rows = np.column_stack(columns)
+        _, expected = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(_codes(*columns), expected.ravel())
+        assert np.array_equal(_codes(rows), expected.ravel())
+        assert entropy(*columns) == entropy_unique_rows(rows)
+        assert entropy(rows) == entropy_unique_rows(rows)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.one_of(st.lists(INT_COLUMN, min_size=n, max_size=n),
+                  st.lists(FLOAT_COLUMN, min_size=n, max_size=n)),
+        min_size=1, max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_small_columns(self, columns):
+        self.check([np.array(c) for c in columns])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_columns(self, seed):
+        gen = RngStream(seed).generator()
+        n = 500
+        columns = [
+            gen.integers(0, 5, n),
+            np.round(gen.normal(size=n), 1),
+            np.where(gen.random(n) < 0.5, -0.0, 0.0),
+            gen.integers(0, 2, n).astype(float),
+        ][: 1 + seed]
+        self.check(columns)
+        self.check([columns[0]])
+
+    def test_mixed_1d_and_2d_arguments(self):
+        gen = RngStream(20).generator()
+        a = gen.integers(0, 3, 200)
+        z = gen.integers(0, 2, (200, 2)).astype(float)
+        rows = np.column_stack([a, z])
+        assert entropy(a, z) == entropy_unique_rows(rows)
+        assert conditional_mutual_information(a, a % 2, z) == (
+            entropy_unique_rows(np.column_stack([a, z]))
+            + entropy_unique_rows(np.column_stack([a % 2, z]))
+            - entropy_unique_rows(np.column_stack([a, a % 2, z]))
+            - entropy_unique_rows(z)
+        )
+
+    @pytest.mark.parametrize("columns", [
+        (), ([],), ([1, 2], []), ([1, 2], [1, 2, 3]), (np.zeros((2, 2, 2)),),
+    ])
+    def test_malformed_samples(self, columns):
+        with pytest.raises(DataError):
+            _codes(*columns)
+
+
+def masked_cohort(n: int, missing_rate: float, seed: int) -> Cohort:
+    return synth_cohort(SynthConfig(
+        n_patients=n, T=5, missing_rate=missing_rate, mean_stay=4.0, seed=seed,
+    ))
+
+
+# sparse cohorts (cells with fewer than 10 samples, greedy fallbacks and
+# conditioned scores side by side) and a dense one, as (n, missing_rate, seed)
+SPARSE_COHORTS = [(40, 0.5, 1), (45, 0.45, 3)]
+ORACLE_COHORTS = SPARSE_COHORTS + [(120, 0.3, 2)]
+
+
+class TestScoresOracle:
+    """``cmi_feature_scores`` against the per-patient cell loop with
+    index-list intersections and ``np.unique(axis=0)`` coding."""
+
+    @pytest.mark.parametrize("n,missing_rate,seed", SPARSE_COHORTS)
+    def test_cohorts_cover_the_edge_cases(self, n, missing_rate, seed):
+        c = masked_cohort(n, missing_rate, seed)
+        seen = np.stack([p.M for p in c.patients]).astype(np.int64)  # (n, F, T)
+        counts = seen.sum(axis=0)
+        assert ((counts > 0) & (counts < MIN_VALID_SAMPLES)).any()
+        scored = counts >= MIN_VALID_SAMPLES
+        both = np.einsum("nft,ngt->tfg", seen, seen)  # patients seen for f and g
+        pair = scored.T[:, :, None] & scored.T[:, None, :]
+        np.einsum("tff->tf", pair)[:] = False
+        assert (pair & (both < MIN_VALID_SAMPLES)).any()  # a fallback
+        assert (pair & (both >= MIN_VALID_SAMPLES)).any()  # a conditioned score
+
+    @pytest.mark.parametrize("n,missing_rate,seed", ORACLE_COHORTS)
+    @pytest.mark.parametrize("conditioning", ["none", "greedy_selected"])
+    @pytest.mark.parametrize("binning", ["equal_frequency", "equal_width"])
+    @pytest.mark.parametrize("max_conditioners", [0, 1, 2, 4])
+    def test_bit_identical(self, n, missing_rate, seed, conditioning, binning,
+                           max_conditioners):
+        c = masked_cohort(n, missing_rate, seed)
+        cfg = CmiConfig(n_bins=3 + max_conditioners, binning=binning,
+                        conditioning=conditioning, max_conditioners=max_conditioners)
+        scores = cmi_feature_scores(c, cfg)
+        S, counts = cmi_scores_by_cell(c, cfg)
+        assert np.array_equal(scores.S, S)
+        assert np.array_equal(scores.valid_counts, counts)
+        assert scores.S.tobytes() == S.tobytes()  # signed zeros too

@@ -253,6 +253,15 @@ class TestSynth:
         for p in c.patients:
             assert not p.X[p.M == 0.0].any()
 
+    @pytest.mark.parametrize("field", [
+        {"n_patients": 0}, {"n_patients": 30.5}, {"n_patients": True},
+        {"n_care": 0}, {"T": 0}, {"seed": -1}, {"mdr_fraction": 1.0},
+        {"missing_rate": float("nan")}, {"mean_stay": 0.0}, {"signal_strength": None},
+    ])
+    def test_bad_config_is_config_error(self, field):
+        with pytest.raises(ConfigError):
+            SynthConfig(**{"n_patients": 10, **field})
+
     def test_zero_fraction_all_negative(self):
         c = synth_cohort(SynthConfig(n_patients=60, mdr_fraction=0.0, seed=5))
         assert not any(p.is_positive for p in c.patients)

@@ -434,6 +434,16 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(dropout_rate=1.0)
 
+    @pytest.mark.parametrize("field", [
+        {"max_epochs": 2.5}, {"max_epochs": True}, {"hidden_size": 0},
+        {"patience": -1}, {"batch_size": "16"}, {"cv_folds": 0}, {"seed": -1},
+        {"threshold": float("nan")}, {"dropout_rate": None},
+        {"grid_hidden_sizes": (4, 2.0)}, {"grid_dropout_rates": (0.0, -0.1)},
+    ])
+    def test_badly_typed_field(self, field):
+        with pytest.raises(ConfigError):
+            TrainConfig(**field)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("use_att", [False, True])

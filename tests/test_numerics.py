@@ -7,6 +7,7 @@ from tsxplain.errors import SingularSystemError
 from tsxplain.numerics import (
     RngStream,
     sigmoid,
+    softmax,
     softmax_axis,
     weighted_least_squares,
 )
@@ -84,6 +85,15 @@ class TestSoftmax:
     def test_no_overflow(self):
         out = softmax_axis(np.array([[1000.0, -1000.0]]).T, axis="cols")
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("F", [1, 3, 14, 200])
+    def test_batched_columns_match_per_matrix(self, F):
+        # the model's batched (n, F, T) attention softmax over axis 1 gives
+        # the bits of each patient's (F, T) column softmax
+        x = 10.0 * RngStream(F).generator().normal(size=(5, F, 9))
+        out = softmax(x, axis=1)
+        for i in range(5):
+            assert np.array_equal(out[i], softmax_axis(x[i], axis="cols"))
 
 
 class TestWeightedLeastSquares:
