@@ -100,6 +100,8 @@ def _synth_config(cfg: dict, seed: int) -> data_mod.SynthConfig:
 
 def _train_config(cfg: dict, seed: int) -> model_mod.TrainConfig:
     section = dict(cfg.get("train", {}))
+    if "seed" in section:
+        raise ConfigError("train takes no seed; each run's seed comes from 'seeds' or --seed")
     grid = section.pop("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError(f"train grid must be a JSON object, got {grid!r}")

@@ -418,8 +418,11 @@ def load_schema(path) -> FeatureSchema:
             continue
         if ":" not in line:
             raise SchemaError(f"malformed schema line: {line!r}")
-        key, value = line.split(":", 1)
-        current[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split(":", 1))
+        if key not in ("name", "kind", "group") or key in current:
+            why = "duplicate" if key in current else "unknown"
+            raise SchemaError(f"{why} schema key {key!r} in line {line!r}")
+        current[key] = value
     return FeatureSchema(tuple(feats))
 
 

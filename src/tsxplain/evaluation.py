@@ -43,17 +43,9 @@ class DeltaReport:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.shape[0])
-    sx = x[order]
-    i = 0
-    while i < x.shape[0]:
-        j = i
-        while j + 1 < x.shape[0] and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of x, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def roc_auc_step(scores, labels) -> Optional[float]:

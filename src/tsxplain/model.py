@@ -35,6 +35,10 @@ from .numerics import RngStream, sigmoid, softmax, softmax_axis
 EPS = 1e-7
 
 
+# the GRUParams arrays in field and checkpoint order; b_out is a Python float
+GRU_ARRAYS = ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h", "W_out", "b_out")
+
+
 @dataclass
 class GRUParams:
     W_z: np.ndarray  # (H, F+H), gate input [x, h_prev]
@@ -292,16 +296,8 @@ def _backward_core(
     H = gru.hidden_size
     F = gru.n_features
 
-    grads = {
-        "W_z": np.zeros_like(gru.W_z),
-        "W_r": np.zeros_like(gru.W_r),
-        "W_h": np.zeros_like(gru.W_h),
-        "b_z": np.zeros(H),
-        "b_r": np.zeros(H),
-        "b_h": np.zeros(H),
-        "W_out": np.zeros(H),
-        "b_out": 0.0,
-    }
+    grads = {name: np.zeros_like(getattr(gru, name)) for name in GRU_ARRAYS[:-1]}
+    grads["b_out"] = 0.0
     dyhat = _loss_grad_yhat(yhat, y, valid, beta)
     do_all = dyhat * yhat * (1.0 - yhat)
 
@@ -379,13 +375,9 @@ def backward(
 
 
 def _apply_grads(gru: GRUParams, att: Optional[AttentionParams], grads: dict, lr: float):
-    gru.W_z -= lr * grads["W_z"]
-    gru.W_r -= lr * grads["W_r"]
-    gru.W_h -= lr * grads["W_h"]
-    gru.b_z -= lr * grads["b_z"]
-    gru.b_r -= lr * grads["b_r"]
-    gru.b_h -= lr * grads["b_h"]
-    gru.W_out -= lr * grads["W_out"]
+    for name in GRU_ARRAYS[:-1]:
+        param = getattr(gru, name)
+        param -= lr * grads[name]
     gru.b_out -= lr * grads["b_out"]
     if att is not None:
         att.W -= lr * grads["att_W"]
@@ -508,49 +500,49 @@ def train(train_cohort: Cohort, cfg: TrainConfig, use_attention: bool) -> Traine
 CHECKPOINT_MAGIC = "tsxplain-checkpoint-v1"
 
 
-def _write_array(out: io.StringIO, name: str, arr: np.ndarray) -> None:
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    out.write(f"array {name} {arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        out.write(" ".join(float.hex(float(v)) for v in row))
-        out.write("\n")
+def _layout(F: int, H: int, attention: bool) -> list[tuple[str, int, int]]:
+    """The checkpoint arrays in file order with their (rows, cols); a vector
+    is stored as one row and the scalar ``b_out`` as a 1x1 array."""
+    shapes = [(H, F + H), (H, F + H), (H, H + F), (1, H), (1, H), (1, H), (1, H), (1, 1)]
+    layout = [(name, r, c) for name, (r, c) in zip(GRU_ARRAYS, shapes)]
+    if attention:
+        layout += [("att_W", F, F), ("att_b", 1, F)]
+    return layout
 
 
 def save_model(model: TrainedModel, path) -> None:
+    gru, att = model.gru, model.attention
     out = io.StringIO()
     out.write(f"{CHECKPOINT_MAGIC}\n")
     out.write(f"schema_fingerprint {model.schema_fingerprint}\n")
-    out.write(f"hidden_size {model.gru.hidden_size}\n")
+    out.write(f"hidden_size {gru.hidden_size}\n")
     out.write(f"threshold {float.hex(float(model.threshold))}\n")
-    out.write(f"attention {1 if model.attention is not None else 0}\n")
-    _write_array(out, "W_z", model.gru.W_z)
-    _write_array(out, "W_r", model.gru.W_r)
-    _write_array(out, "W_h", model.gru.W_h)
-    _write_array(out, "b_z", model.gru.b_z)
-    _write_array(out, "b_r", model.gru.b_r)
-    _write_array(out, "b_h", model.gru.b_h)
-    _write_array(out, "W_out", model.gru.W_out)
-    _write_array(out, "b_out", np.array([model.gru.b_out]))
-    if model.attention is not None:
-        _write_array(out, "att_W", model.attention.W)
-        _write_array(out, "att_b", model.attention.b)
-    hist = model.history or {}
+    out.write(f"attention {1 if att is not None else 0}\n")
+    layout = _layout(gru.n_features, gru.hidden_size, att is not None)
+    params = [getattr(gru, name) for name in GRU_ARRAYS] + ([att.W, att.b] if att else [])
+    for (name, r, c), value in zip(layout, params):
+        out.write(f"array {name} {r} {c}\n")
+        for row in np.reshape(value, (r, c)):
+            out.write(" ".join(float.hex(float(v)) for v in row) + "\n")
     for key in ("train_loss", "val_loss"):
-        values = hist.get(key, [])
+        values = (model.history or {}).get(key, [])
         out.write(f"history {key} " + " ".join(float.hex(float(v)) for v in values) + "\n")
     with open(path, "w") as fh:
         fh.write(out.getvalue())
 
 
 def load_model(path) -> TrainedModel:
-    """Read a checkpoint written by ``save_model``. A file that does not
-    start with the magic line raises ``ConfigError``; a checkpoint that does
-    but is truncated or malformed raises ``DataError``."""
-    with open(path) as fh:
+    """Read a checkpoint written by ``save_model``, line for line: the magic
+    and header lines, each array of the layout, the two history lines, then
+    the end of the file. A file that does not start with the magic line
+    raises ``ConfigError``; any other deviation, a non-finite value
+    included, raises ``DataError``."""
+    # undecodable bytes become U+FFFD, which no line of the format matches
+    with open(path, errors="replace") as fh:
         text = fh.read()
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise DataError(f"checkpoint is empty: {path}")
+    lines = text.split("\n")
     if lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"not a {CHECKPOINT_MAGIC} file: {path}")
 
@@ -559,82 +551,60 @@ def load_model(path) -> TrainedModel:
 
     # save_model ends every line with a newline, so a file cut inside a line
     # is caught even where the cut still leaves valid hex digits
-    if not text.endswith("\n"):
+    if lines[-1]:
         raise malformed("truncated inside its last line")
+    rest = iter(lines[1:-1])
 
-    def hex_floats(cells: list[str], where: str) -> list[float]:
+    def take(prefix: str = "") -> str:
+        """The next line, which must start with ``prefix``, without it."""
+        line = next(rest, None)
+        if line is None or not line.startswith(prefix):
+            raise malformed(f"expected a line starting {prefix!r}, got {line!r}")
+        return line[len(prefix) :]
+
+    def finite(cells: list[str], where: str) -> list[float]:
         try:
-            return [float.fromhex(v) for v in cells]
+            values = [float.fromhex(v) for v in cells]
         except ValueError:
             raise malformed(f"bad hex float in {where}") from None
+        if not all(map(math.isfinite, values)):
+            raise malformed(f"non-finite value in {where}")
+        return values
 
-    pos = 1
-    header: dict[str, str] = {}
-    arrays: dict[str, np.ndarray] = {}
-    history: dict[str, list[float]] = {}
-    while pos < len(lines):
-        parts = lines[pos].split()
-        if parts[:1] == ["array"]:
-            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
-                raise malformed(f"bad array header {lines[pos]!r}")
-            name, r, c = parts[1], int(parts[2]), int(parts[3])
-            rows = [hex_floats(row.split(), f"array {name}")
-                    for row in lines[pos + 1 : pos + 1 + r]]
-            if len(rows) != r or any(len(row) != c for row in rows):
-                raise malformed(f"array {name} is not {r}x{c}")
-            arrays[name] = np.array(rows, dtype=np.float64).reshape(r, c)
-            pos += 1 + r
-        elif parts[:1] == ["history"] and len(parts) >= 2:
-            history[parts[1]] = hex_floats(parts[2:], f"history {parts[1]}")
-            pos += 1
-        else:
-            key, _, value = lines[pos].partition(" ")
-            header[key] = value
-            pos += 1
+    fingerprint = take("schema_fingerprint ")
+    hidden = take("hidden_size ")
+    H = int(hidden) if hidden.isdecimal() else 0
+    if H < 1 or hidden != str(H):
+        raise malformed(f"bad hidden_size {hidden!r}")
+    (threshold,) = finite([take("threshold ")], "threshold")
+    attention = take("attention ")
+    if attention not in ("0", "1"):
+        raise malformed(f"bad attention flag {attention!r}")
+    # the W_z header, the line after the attention flag, fixes F
+    cols = lines[5].rpartition(" ")[2]
+    F = int(cols) - H if cols.isdecimal() else 0
+    if F < 1:
+        raise malformed(f"bad array W_z header {lines[5]!r}")
 
-    for key in ("schema_fingerprint", "hidden_size", "threshold", "attention"):
-        if key not in header:
-            raise malformed(f"missing header {key!r}")
+    arrays = []
+    for name, r, c in _layout(F, H, attention == "1"):
+        header = take()
+        if header != f"array {name} {r} {c}":
+            raise malformed(f"expected 'array {name} {r} {c}', got {header!r}")
+        rows = [finite(take().split(" "), f"array {name}") for _ in range(r)]
+        if any(len(row) != c for row in rows):
+            raise malformed(f"array {name} is not {r}x{c}")
+        arrays.append(np.array(rows, dtype=np.float64))
+    history = {}
     for key in ("train_loss", "val_loss"):
-        if key not in history:
-            raise malformed(f"missing history {key!r}")
-    if not header["hidden_size"].isdigit() or int(header["hidden_size"]) < 1:
-        raise malformed(f"bad hidden_size {header['hidden_size']!r}")
-    if header["attention"] not in ("0", "1"):
-        raise malformed(f"bad attention flag {header['attention']!r}")
-    threshold = hex_floats([header["threshold"]], "threshold")[0]
-    H = int(header["hidden_size"])
-    F = arrays["W_z"].shape[1] - H if "W_z" in arrays else 0
-    shapes = {
-        "W_z": (H, F + H), "W_r": (H, F + H), "W_h": (H, H + F),
-        "b_z": (1, H), "b_r": (1, H), "b_h": (1, H), "W_out": (1, H), "b_out": (1, 1),
-    }
-    if header["attention"] == "1":
-        shapes.update({"att_W": (F, F), "att_b": (1, F)})
-    for name, shape in shapes.items():
-        if name not in arrays:
-            raise malformed(f"missing array {name!r}")
-        if F < 1 or arrays[name].shape != shape:
-            raise malformed(f"array {name} has shape {arrays[name].shape}, expected {shape}")
+        cells = take(f"history {key} ")
+        history[key] = finite(cells.split(" ") if cells else [], f"history {key}")
+    if next(rest, None) is not None:
+        raise malformed("unexpected line after the history")
 
-    gru = GRUParams(
-        W_z=arrays["W_z"],
-        W_r=arrays["W_r"],
-        W_h=arrays["W_h"],
-        b_z=arrays["b_z"].ravel(),
-        b_r=arrays["b_r"].ravel(),
-        b_h=arrays["b_h"].ravel(),
-        W_out=arrays["W_out"].ravel(),
-        b_out=float(arrays["b_out"].ravel()[0]),
-        hidden_size=H,
-    )
-    att = None
-    if header["attention"] == "1":
-        att = AttentionParams(W=arrays["att_W"], b=arrays["att_b"].ravel())
-    return TrainedModel(
-        gru=gru,
-        attention=att,
-        schema_fingerprint=header["schema_fingerprint"],
-        history=history,
-        threshold=threshold,
-    )
+    # GRU_ARRAYS is the GRUParams field order: three matrices, four vectors, b_out
+    gru = GRUParams(*arrays[:3], *(a[0] for a in arrays[3:7]), b_out=float(arrays[7][0, 0]),
+                    hidden_size=H)
+    att = AttentionParams(W=arrays[8], b=arrays[9][0]) if attention == "1" else None
+    return TrainedModel(gru=gru, attention=att, schema_fingerprint=fingerprint,
+                        history=history, threshold=threshold)

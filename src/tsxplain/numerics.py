@@ -73,14 +73,9 @@ def weighted_least_squares(
     targets: Sequence[float],
     weights: Sequence[float],
     ridge: float = 0.0,
-    intercept: bool = False,
 ) -> np.ndarray:
     """Solve argmin_c sum_k w_k (y_k - X_k . c)^2 + ridge * ||c||^2 via the
-    normal equations.
-
-    With ``intercept=True`` the first design column is treated as the
-    intercept and excluded from the ridge penalty.
-    """
+    normal equations."""
     X = as_matrix(design)
     y = np.asarray(targets, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -96,10 +91,7 @@ def weighted_least_squares(
     Xw = X * w[:, None]
     A = X.T @ Xw
     b = Xw.T @ y
-    penalty = np.full(X.shape[1], ridge)
-    if intercept and X.shape[1] > 0:
-        penalty[0] = 0.0
-    A = A + np.diag(penalty)
+    A = A + np.diag(np.full(X.shape[1], ridge))
     if ridge == 0.0 and np.linalg.matrix_rank(A) < A.shape[0]:
         raise SingularSystemError(
             "normal equations are singular; pass ridge > 0 to stabilize"

@@ -5,7 +5,7 @@ perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time and a full game played for every explained step, CMI screening that
 gathers each (feature, step) cell's samples patient by patient and codes
 joint alphabets with ``np.unique(axis=0)``, and central-difference
-gradients."""
+gradients, and average ranks found by walking tied runs."""
 
 from dataclasses import dataclass
 from itertools import combinations
@@ -292,6 +292,22 @@ def finite_diff_grad(
         e.flat[j] = h
         g.flat[j] = (f(p + e) - f(p - e)) / (2.0 * h)
     return g
+
+
+def average_ranks_loop(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with tied runs found by walking the stably sorted
+    values, each run given the mean of the ranks it spans."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.shape[0])
+    sx = x[order]
+    i = 0
+    while i < x.shape[0]:
+        j = i
+        while j + 1 < x.shape[0] and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def entropy_unique_rows(samples) -> float:

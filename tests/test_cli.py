@@ -3,12 +3,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsxplain import cli, model
 from tsxplain import evaluation as eval_mod
 from tsxplain.data import load_cohort
+from tsxplain.errors import ConfigError, DataError
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -288,6 +289,30 @@ class TestExplain:
             assert run(argv) == 3, f"cut after {cut} of {len(text)} bytes"
             assert "data error" in capsys.readouterr().err
 
+    def test_itshap_nan_weight_exit_3(self, prepared, capsys):
+        cfg_path, out = prepared
+        ckpt = out / "ckpt_gru_seed0.txt"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("array W_out")) + 1
+        lines[row] = " ".join(["nan"] + lines[row].split(" ")[1:])
+        ckpt.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["explain", "--config", str(cfg_path), "--method", "itshap",
+                    "--attention", "off"]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite value in array W_out" in err and "Traceback" not in err
+        assert not list(out.glob("*itshap*"))
+
+    def test_schema_duplicate_key_exit_3(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        run(["synth", "--config", str(cfg_path)])
+        schema = tmp_path / "out" / "schema.txt"
+        text = schema.read_text()
+        schema.write_text(text.replace("kind: binary", "kind: binary\nkind: numeric", 1))
+        capsys.readouterr()
+        assert run(["explain", "--config", str(cfg_path), "--method", "cmi"]) == 3
+        assert "duplicate schema key 'kind'" in capsys.readouterr().err
+
     def test_explain_without_checkpoint_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         run(["synth", "--config", str(cfg_path)])
@@ -421,7 +446,7 @@ class TestConfigHandling:
         {"patience": -1}, {"patience": 1.5}, {"batch_size": "16"}, {"cv_folds": 2.0},
         {"dropout_rate": float("nan")}, {"threshold": "x"},
         {"grid": {"hidden_sizes": [2.5]}}, {"grid": {"dropout_rates": [0.0, 1.0]}},
-        {"grid": {"learning_rate": [0.5]}}, {"grid": [0.5]},
+        {"grid": {"learning_rate": [0.5]}}, {"grid": [0.5]}, {"seed": 5},
     ])
     def test_bad_train_field_exit_2(self, tmp_path, capsys, train):
         cfg_path, _ = write_config(tmp_path, {"train": train})
@@ -496,6 +521,14 @@ METRIC_CELLS = st.sampled_from([
     "1.5", "0.7", " 2", "nan", "inf", "x",
 ])
 FUZZ_SETTINGS = settings(max_examples=30, deadline=None)
+CHECKPOINT_LINES = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "0x1.8p-1", "0x1.8p-1 nan",
+                     "tsxplain-checkpoint-v1", "hidden_size 2", "hidden_size 0",
+                     "attention 1", "threshold 0x1p-1", "threshold nan", "array W_z 2 16",
+                     "array W_z 4 4", "history val_loss", "history val_loss inf",
+                     "colour red"]),
+    st.text(alphabet="0123456789abcdefpx.+- _", max_size=30),
+)
 
 
 @pytest.fixture(scope="module")
@@ -566,3 +599,48 @@ class TestFuzz:
         assert code in (0, 3)
         if code == 0:
             assert "nan" not in (out / "delta_report.csv").read_text()
+
+    @given(edit=st.sampled_from(["delete", "duplicate", "swap", "replace", "cut"]),
+           data=st.data())
+    @FUZZ_SETTINGS
+    def test_checkpoint_edits(self, fuzz_dir, edit, data):
+        out = fuzz_dir / "out"
+        ckpt = out / "ckpt_gru_seed0.txt"
+        text = ckpt.read_text()
+        lines = text.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if edit == "delete":
+            lines[i : i + 1] = []
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "replace":
+            lines[i] = data.draw(CHECKPOINT_LINES, label="new line") + "\n"
+        damaged = "".join(lines)
+        if edit == "cut":
+            damaged = text[: data.draw(st.integers(0, len(text) - 1), label="bytes")]
+        assume(damaged != text)
+        cfg = json.loads((fuzz_dir / "config.json").read_text())
+        cfg["itshap"] = {"max_patients": 2, "n_samples": 256}
+        cfg_path = fuzz_dir / "fuzz_checkpoint.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for old in out.glob("*itshap*"):
+            old.unlink()
+        ckpt.write_text(damaged)
+        try:
+            try:
+                loaded = model.load_model(ckpt)
+            except (ConfigError, DataError) as exc:
+                expected = 2 if isinstance(exc, ConfigError) else 3
+            else:
+                # an edit can keep the layout, e.g. swapping two rows of equal width
+                params = [getattr(loaded.gru, name) for name in model.GRU_ARRAYS]
+                assert all(np.isfinite(p).all() for p in params)
+                expected = 0
+            assert run(["explain", "--config", str(cfg_path), "--method", "itshap",
+                        "--attention", "off"]) == expected
+            assert bool(list(out.glob("*itshap*"))) == (expected == 0)
+        finally:
+            ckpt.write_text(text)

@@ -60,6 +60,18 @@ class TestSchema:
         with pytest.raises(SchemaError):
             load_schema(path)
 
+    @pytest.mark.parametrize("block, error", [
+        ("name: pc_0\nkind: binary\nkind: numeric\ngroup: care\n", "duplicate schema key 'kind'"),
+        ("name: pc_0\nname: pc_1\nkind: binary\ngroup: care\n", "duplicate schema key 'name'"),
+        ("name: pc_0\nkind: binary\ngroup: care\ncolour: red\n", "unknown schema key 'colour'"),
+        ("name: pc_0\nKind: binary\ngroup: care\n", "unknown schema key 'Kind'"),
+    ], ids=["duplicate kind", "duplicate name", "unknown key", "capitalised key"])
+    def test_duplicate_or_unknown_key(self, tmp_path, block, error):
+        path = tmp_path / "schema.txt"
+        path.write_text(block)
+        with pytest.raises(SchemaError, match=error):
+            load_schema(path)
+
 
 class TestBuildLabels:
     def test_never_positive(self):

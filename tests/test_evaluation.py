@@ -8,6 +8,7 @@ from tsxplain.errors import DataError
 from tsxplain.evaluation import (
     METRICS,
     MetricSeries,
+    _average_ranks,
     aggregate_repeats,
     delta_report,
     evaluate,
@@ -21,6 +22,7 @@ from tsxplain.model import TrainConfig, train
 from tsxplain.numerics import RngStream
 
 from conftest import toy_cohort
+from oracles import average_ranks_loop
 
 
 def pairwise_auc(scores, labels):
@@ -82,6 +84,27 @@ class TestAuc:
         assert abs(roc_auc_step(scores**3, labels) - base) < 1e-12
         logit = np.log(scores / (1 - scores))
         assert abs(roc_auc_step(logit, labels) - base) < 1e-12
+
+
+class TestAverageRanks:
+    def test_hand_case(self):
+        x = np.array([0.5, -1.0, 0.5, 2.0, 0.5, -0.0, 0.0])
+        assert _average_ranks(x).tolist() == [5.0, 1.0, 5.0, 7.0, 5.0, 2.5, 2.5]
+
+    def test_bit_identical_to_loop_oracle(self):
+        gen = RngStream(31).generator()
+        alphabet = np.array([0.0, -0.0, 1.0, -2.5, 0.125, 1e-300, np.inf, -np.inf])
+        for trial in range(3000):
+            n = int(gen.integers(0, 200))
+            if trial % 3 == 0:
+                x = gen.choice(alphabet, size=n)  # tie-heavy, signed zeros
+            elif trial % 3 == 1:
+                x = np.round(gen.normal(size=n), 1)
+            else:
+                x = gen.random(n)  # ties rare
+            got, expected = _average_ranks(x), average_ranks_loop(x)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), x
 
 
 class TestSensSpec:

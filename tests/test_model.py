@@ -445,6 +445,55 @@ class TestTrain:
             TrainConfig(**field)
 
 
+def _array_span(lines, name):
+    """Line range of an array's header and its rows."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"array {name} "))
+    return start, start + 1 + int(lines[start].split()[2])
+
+
+def _duplicate_array(lines):
+    start, end = _array_span(lines, "b_z")
+    return lines[:end] + lines[start:end] + lines[end:]
+
+
+def _swap_arrays(lines):
+    (s1, e1), (s2, e2) = _array_span(lines, "W_z"), _array_span(lines, "W_r")
+    return lines[:s1] + lines[s2:e2] + lines[s1:e1] + lines[e2:]
+
+
+def _set_cell(lines, index, value):
+    cells = lines[index].split(" ")
+    return lines[:index] + [" ".join([value] + cells[1:])] + lines[index + 1 :]
+
+
+# each edit keeps every line well formed on its own but leaves the layout
+# that save_model writes or puts a non-finite value into it
+OFF_LAYOUT = {
+    "duplicate array": _duplicate_array,
+    "second threshold": lambda lines: lines[:4] + [lines[3]] + lines[4:],
+    "unknown header key": lambda lines: lines[:5] + ["colour red"] + lines[5:],
+    "extra array": lambda lines: lines[:-2] + ["array extra 1 1", "0x0.0p+0"] + lines[-2:],
+    "reordered arrays": _swap_arrays,
+    "reordered history": lambda lines: lines[:-2] + [lines[-1], lines[-2]],
+    "header after arrays": lambda lines: lines[:1] + lines[2:-2] + [lines[1]] + lines[-2:],
+    "line after history": lambda lines: lines + ["history best_epoch 0x1.0p+0"],
+    "blank line": lambda lines: lines[:5] + [""] + lines[5:],
+    "attention flag without arrays": lambda lines: lines[:4] + ["attention 1"] + lines[5:],
+    "padded hidden_size": lambda lines: [l.replace("hidden_size 4", "hidden_size 04")
+                                         for l in lines],
+    "padded W_z width": lambda lines: [l.replace("array W_z 4 7", "array W_z 4 07")
+                                       for l in lines],
+    "double space in a row": lambda lines: lines[:6] + [lines[6].replace(" ", "  ", 1)]
+    + lines[7:],
+    # nan and inf parse as hex floats
+    "nan weight": lambda lines: _set_cell(lines, _array_span(lines, "W_out")[0] + 1, "nan"),
+    "inf weight": lambda lines: _set_cell(lines, 6, "-inf"),
+    "inf threshold": lambda lines: lines[:3] + ["threshold inf"] + lines[4:],
+    "inf val_loss": lambda lines: lines[:-1] + [lines[-1] + " inf"],
+    "nan train_loss": lambda lines: lines[:-2] + ["history train_loss nan"] + lines[-1:],
+}
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("use_att", [False, True])
     def test_round_trip_bit_exact(self, tmp_path, use_att):
@@ -499,6 +548,7 @@ class TestCheckpoint:
                        for l in lines],
         lambda lines: [l for l in lines if not l.startswith("history val_loss")],
         lambda lines: [l.replace("threshold 0x", "threshold zz") for l in lines],
+        *(pytest.param(damage, id=name) for name, damage in OFF_LAYOUT.items()),
     ])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, damage):
         model = make_model(F=3, H=4, seed=20)
@@ -509,5 +559,27 @@ class TestCheckpoint:
         damaged = damage(lines)
         assert damaged != lines
         path.write_text("".join(line + "\n" for line in damaged))
+        with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("use_att", [False, True])
+    @pytest.mark.parametrize("history", [
+        {}, {"train_loss": [0.5, 0.25, 0.3], "val_loss": [0.75, 0.625, 0.7]},
+    ], ids=["no history", "history"])
+    def test_load_then_save_reproduces_file(self, tmp_path, use_att, history):
+        model = make_model(F=3, H=4, seed=21, use_attention=use_att)
+        model.history = history
+        model.threshold = 0.3
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_not_text_is_data_error(self, tmp_path):
+        model = make_model(F=3, H=4, seed=20)
+        path = tmp_path / "ckpt.txt"
+        save_model(model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"0x", b"\xff\xfe", 1))
         with pytest.raises(DataError):
             load_model(path)

@@ -124,13 +124,6 @@ class TestWeightedLeastSquares:
         coeffs = weighted_least_squares(X, y, np.ones(10), ridge=1e9)
         assert np.abs(coeffs).max() < 1e-6
 
-    def test_unpenalized_intercept(self):
-        X = np.column_stack([np.ones(20), np.linspace(-1, 1, 20)])
-        y = 5.0 + 0.0 * X[:, 1]
-        coeffs = weighted_least_squares(X, y, np.ones(20), ridge=1e9, intercept=True)
-        assert abs(coeffs[0] - 5.0) < 1e-6
-        assert abs(coeffs[1]) < 1e-6
-
     def test_singular_without_ridge(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(SingularSystemError, match="ridge"):
