@@ -132,6 +132,9 @@ def _explainer_config(cfg: dict) -> tuple[itshap_mod.ExplainerConfig, dict]:
         "max_patients": section.pop("max_patients", 50),
         "steps": section.pop("steps", "final"),
     }
+    if section.get("mode", "cell") != "cell":
+        # timestep mode fills only a step x step table, which no CLI artefact holds
+        raise ConfigError(f"itshap mode must be 'cell' in the CLI, got {section['mode']!r}")
     if extras["steps"] not in ("final", "all"):
         raise ConfigError(f"itshap steps must be 'final' or 'all', got {extras['steps']!r}")
     if not (is_integer(extras["max_patients"]) and extras["max_patients"] >= 1):

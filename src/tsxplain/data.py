@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -382,9 +381,10 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
 
 
 # ---------------------------------------------------------------------------
-# File formats: schema (key-value blocks), cohort CSV (one row per
-# patient-day, empty feature cell = masked, empty label = day beyond stay) and
-# the long-format CSV shared by every score, attribution and metric artefact.
+# File formats: schema (key-value blocks), cohort CSV and the long-format CSV
+# shared by every score, attribution and metric artefact. The cohort CSV has
+# the header `patient_id,t,label,<schema names>`, then each patient's rows for
+# days 1..stay in order as one block; an empty feature cell is unobserved.
 # ---------------------------------------------------------------------------
 
 
@@ -401,7 +401,10 @@ def save_schema(schema: FeatureSchema, path) -> None:
 def load_schema(path) -> FeatureSchema:
     feats = []
     current: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"schema file is not text: {exc}") from exc
     for raw in text.splitlines() + [""]:
         line = raw.strip()
         if not line:
@@ -460,68 +463,64 @@ def save_cohort(cohort: Cohort, data_path, schema_path) -> None:
 
 
 def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
+    """Read back exactly what ``save_cohort`` writes: F + 3 cells a row, a
+    nonempty id, days 1..stay <= T, a 0/1 label, and in each feature cell
+    nothing or a finite number (0 or 1 if binary). Any other header is a
+    SchemaError, and any other row a DataError."""
     schema = load_schema(schema_path)
     expected = ["patient_id", "t", "label"] + schema.names
-    rows_by_patient: dict[str, list[tuple[int, str, list[str]]]] = {}
-    order: list[str] = []
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("cohort file is empty")
-        if header != expected:
-            unknown = [h for h in header[3:] if h not in schema.names]
-            if unknown:
-                raise SchemaError(f"unknown feature columns: {unknown}")
-            raise SchemaError("cohort header does not match schema feature order")
-        for row in reader:
-            if not row:
-                continue
-            pid, t_str, label = row[0], row[1], row[2]
-            try:
-                t = int(t_str)
-            except ValueError as exc:
-                raise DataError(f"non-integer time step {t_str!r}") from exc
-            if not (1 <= t <= T):
-                raise DataError(f"time step {t} outside 1..{T} for patient {pid}")
-            if pid not in rows_by_patient:
-                rows_by_patient[pid] = []
-                order.append(pid)
-            rows_by_patient[pid].append((t, label, row[3:]))
+    columns: list[list[str]] = [[] for _ in expected]
+    try:
+        with open(data_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header != expected:
+                raise SchemaError(f"cohort header {header} is not {expected}")
+            for row in reader:
+                if len(row) != len(expected):
+                    raise DataError(f"cohort line {reader.line_num}: {len(row)} cells, "
+                                    f"expected {len(expected)}")
+                for column, cell in zip(columns, row):
+                    column.append(cell)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cohort file is not CSV text: {exc}") from exc
 
-    patients = []
-    for pid in order:
-        rows = sorted(rows_by_patient[pid], key=lambda r: r[0])
-        labeled = [(t, lab, cells) for t, lab, cells in rows if lab.strip() != ""]
-        if not labeled:
-            raise DataError(f"patient {pid} has no labeled days")
-        stay = max(t for t, _, _ in labeled)
-        X = np.zeros((schema.F, T))
-        M = np.zeros((schema.F, T))
-        y = np.zeros(T)
-        for t, lab, cells in labeled:
-            if lab not in ("0", "1"):
-                raise DataError(f"patient {pid}: label must be 0 or 1, got {lab!r}")
-            y[t - 1] = float(lab)
-            for f, cell in enumerate(cells):
-                if cell.strip() == "":
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise DataError(
-                        f"patient {pid}: bad value {cell!r} in {schema.names[f]}"
-                    ) from exc
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"patient {pid}: non-finite value {cell!r} in {schema.names[f]}"
-                    )
-                if schema.features[f].kind == "binary" and value not in (0.0, 1.0):
-                    raise DataError(
-                        f"patient {pid}: non-binary value {value} in binary "
-                        f"feature {schema.names[f]}"
-                    )
-                X[f, t - 1] = value
-                M[f, t - 1] = 1.0
-        patients.append(PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay))
+    def reject(bad, message) -> None:
+        if bad.any():
+            raise DataError(message(int(np.argmax(bad))))
+
+    ids, days, labels = (np.array(c, dtype=object) for c in columns[:3])
+    start = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])  # a block per patient
+    stay = np.diff(np.r_[start, len(ids)])
+    patient = np.repeat(np.arange(len(start)), stay)
+    day = np.arange(len(ids)) - start[patient] + 1
+    reject(ids == "", lambda r: f"cohort line {r + 2}: empty patient_id")
+    block_ids, blocks = np.unique(ids[start], return_counts=True)
+    reject(blocks > 1, lambda i: f"patient {block_ids[i]}: rows are not one block")
+    due = np.array([str(d) for d in range(stay.max(initial=0) + 1)], dtype=object)[day]
+    reject(days != due,
+           lambda r: f"patient {ids[r]}: time step {days[r]!r} where day {day[r]} is due")
+    reject(day > T, lambda r: f"time step {day[r]} outside 1..{T} for patient {ids[r]}")
+    reject((labels != "0") & (labels != "1"),
+           lambda r: f"patient {ids[r]}: label must be 0 or 1, got {labels[r]!r}")
+
+    X, M = np.zeros((2, len(start), schema.F, T))
+    y = np.zeros((len(start), T))
+    y[patient, day - 1] = labels == "1"
+    for f, feature in enumerate(schema.features):
+        cells = np.array(columns[3 + f], dtype=object)
+        seen = np.flatnonzero(cells != "")
+        try:
+            values = cells[seen].astype(np.float64)
+        except ValueError as exc:
+            raise DataError(f"bad value in {feature.name}: {exc}") from exc
+        binary = feature.kind == "binary"
+        reject(~np.isfinite(values) | (binary & ~np.isin(values, (0.0, 1.0))),
+               lambda i: f"patient {ids[seen[i]]} day {day[seen[i]]}: "
+                         f"{'non-binary' if np.isfinite(values[i]) else 'non-finite'} "
+                         f"value {cells[seen[i]]!r} in {feature.name}")
+        X[patient[seen], f, day[seen] - 1] = values
+        M[patient[seen], f, day[seen] - 1] = 1.0
+    patients = [PatientRecord(id=columns[0][s], X=X[i], M=M[i], y=y[i],
+                              stay_length=int(stay[i])) for i, s in enumerate(start)]
     return Cohort(schema=schema, patients=patients, T=T)

@@ -50,11 +50,14 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def roc_auc_step(scores, labels) -> Optional[float]:
     """Mann-Whitney AUC: probability a random positive outscores a random
-    negative, ties counted 1/2. None when a class is missing."""
+    negative, ties counted 1/2. None when a class is missing; a non-finite
+    score is a DataError."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape:
         raise DataError("scores and labels must have equal length")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -5,8 +5,11 @@ perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time and a full game played for every explained step, CMI screening that
 gathers each (feature, step) cell's samples patient by patient and codes
 joint alphabets with ``np.unique(axis=0)``, and central-difference
-gradients, and average ranks found by walking tied runs."""
+gradients, average ranks found by walking tied runs, and a cohort CSV reader
+that groups rows by patient and parses one cell at a time."""
 
+import csv
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -14,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from tsxplain.cmi import MIN_VALID_SAMPLES, discretize
-from tsxplain.errors import ConfigError, DataError, ShapeError
+from tsxplain.data import DEFAULT_T, Cohort, PatientRecord, load_schema
+from tsxplain.errors import ConfigError, DataError, SchemaError, ShapeError
 from tsxplain.itshap import (
     ImportanceMatrix,
     _solve_constrained,
@@ -413,3 +417,74 @@ def _greedy_score_by_lists(cell, f, conditioners) -> float:
     pick = np.isin(who, common)
     z_cols = [cell[g][0][np.isin(cell[g][2], common)] for g in conditioners]
     return cmi_unique_rows(vals[pick], labels[pick], np.stack(z_cols, axis=1))
+
+
+def load_cohort_by_cell(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
+    """Cohort CSV reader that groups rows by patient id, sorts each patient's
+    rows by day, skips rows with an empty label and parses each feature cell
+    on its own."""
+    schema = load_schema(schema_path)
+    expected = ["patient_id", "t", "label"] + schema.names
+    rows_by_patient: dict[str, list[tuple[int, str, list[str]]]] = {}
+    order: list[str] = []
+    with open(data_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError("cohort file is empty")
+        if header != expected:
+            unknown = [h for h in header[3:] if h not in schema.names]
+            if unknown:
+                raise SchemaError(f"unknown feature columns: {unknown}")
+            raise SchemaError("cohort header does not match schema feature order")
+        for row in reader:
+            if not row:
+                continue
+            pid, t_str, label = row[0], row[1], row[2]
+            try:
+                t = int(t_str)
+            except ValueError as exc:
+                raise DataError(f"non-integer time step {t_str!r}") from exc
+            if not (1 <= t <= T):
+                raise DataError(f"time step {t} outside 1..{T} for patient {pid}")
+            if pid not in rows_by_patient:
+                rows_by_patient[pid] = []
+                order.append(pid)
+            rows_by_patient[pid].append((t, label, row[3:]))
+
+    patients = []
+    for pid in order:
+        rows = sorted(rows_by_patient[pid], key=lambda r: r[0])
+        labeled = [(t, lab, cells) for t, lab, cells in rows if lab.strip() != ""]
+        if not labeled:
+            raise DataError(f"patient {pid} has no labeled days")
+        stay = max(t for t, _, _ in labeled)
+        X = np.zeros((schema.F, T))
+        M = np.zeros((schema.F, T))
+        y = np.zeros(T)
+        for t, lab, cells in labeled:
+            if lab not in ("0", "1"):
+                raise DataError(f"patient {pid}: label must be 0 or 1, got {lab!r}")
+            y[t - 1] = float(lab)
+            for f, cell in enumerate(cells):
+                if cell.strip() == "":
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise DataError(
+                        f"patient {pid}: bad value {cell!r} in {schema.names[f]}"
+                    ) from exc
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"patient {pid}: non-finite value {cell!r} in {schema.names[f]}"
+                    )
+                if schema.features[f].kind == "binary" and value not in (0.0, 1.0):
+                    raise DataError(
+                        f"patient {pid}: non-binary value {value} in binary "
+                        f"feature {schema.names[f]}"
+                    )
+                X[f, t - 1] = value
+                M[f, t - 1] = 1.0
+        patients.append(PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay))
+    return Cohort(schema=schema, patients=patients, T=T)

@@ -246,6 +246,7 @@ class TestExplain:
         {"exact_threshold": True},
         {"explain_logit": "yes"},
         {"explain_logit": 1},
+        {"mode": "timestep"},  # its step table has no CLI artefact
     ])
     def test_itshap_bad_config_exit_2(self, prepared, capsys, itshap):
         cfg_path, out = prepared
@@ -531,6 +532,36 @@ CHECKPOINT_LINES = st.one_of(
 )
 
 
+COHORT_CELLS = st.one_of(
+    st.sampled_from(["", "0", "1", "2", " 1", "01", "1.0", "0.5", "-1", "1e308", "1e309",
+                     "nan", "inf", "-inf", "x", "p00001", "p00002", "label"]),
+    st.text(alphabet="0123456789.e+-x ", max_size=8),
+)
+SCHEMA_LINES = st.sampled_from([
+    "", "name: pc_0", "name: zz", "name:", "kind: binary", "kind: numeric",
+    "kind: categorical", "group: care", "group: nonsense", "colour: red", "pc_0",
+])
+
+
+def _edit_lines(text, edit, data, new_line):
+    """``text`` with one line deleted, duplicated, swapped with another or
+    replaced by ``new_line(line)``, or cut at a byte."""
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if edit == "delete":
+        lines[i : i + 1] = []
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "replace":
+        lines[i] = new_line(lines[i])
+    else:
+        return text[: data.draw(st.integers(0, len(text) - 1), label="bytes")]
+    return "".join(lines)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A cohort, a plain-GRU checkpoint for seed 0 and the two metric files."""
@@ -607,20 +638,10 @@ class TestFuzz:
         out = fuzz_dir / "out"
         ckpt = out / "ckpt_gru_seed0.txt"
         text = ckpt.read_text()
-        lines = text.splitlines(keepends=True)
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
-        if edit == "delete":
-            lines[i : i + 1] = []
-        elif edit == "duplicate":
-            lines.insert(i, lines[i])
-        elif edit == "swap":
-            j = data.draw(st.integers(0, len(lines) - 1), label="other line")
-            lines[i], lines[j] = lines[j], lines[i]
-        elif edit == "replace":
-            lines[i] = data.draw(CHECKPOINT_LINES, label="new line") + "\n"
-        damaged = "".join(lines)
-        if edit == "cut":
-            damaged = text[: data.draw(st.integers(0, len(text) - 1), label="bytes")]
+        damaged = _edit_lines(
+            text, edit, data,
+            lambda line: data.draw(CHECKPOINT_LINES, label="new line") + "\n",
+        )
         assume(damaged != text)
         cfg = json.loads((fuzz_dir / "config.json").read_text())
         cfg["itshap"] = {"max_patients": 2, "n_samples": 256}
@@ -644,3 +665,39 @@ class TestFuzz:
             assert bool(list(out.glob("*itshap*"))) == (expected == 0)
         finally:
             ckpt.write_text(text)
+
+    @given(target=st.sampled_from(["cohort.csv", "schema.txt"]),
+           edit=st.sampled_from(["delete", "duplicate", "swap", "replace", "cut"]),
+           data=st.data())
+    @FUZZ_SETTINGS
+    def test_cohort_edits(self, fuzz_dir, target, edit, data):
+        out = fuzz_dir / "out"
+        path = out / target
+        original = path.read_bytes()
+        text = original.decode()  # keeps the csv writer's \r\n line ends
+
+        def new_line(line):
+            if target == "schema.txt":
+                return data.draw(SCHEMA_LINES, label="new line") + "\n"
+            cells = line.rstrip("\r\n").split(",")
+            c = data.draw(st.integers(0, len(cells) - 1), label="cell")
+            cells[c] = data.draw(COHORT_CELLS, label="new cell")
+            return ",".join(cells) + "\r\n"
+
+        damaged = _edit_lines(text, edit, data, new_line)
+        assume(damaged != text)
+        scores = out / "importance_cmi_all.csv"
+        scores.unlink(missing_ok=True)
+        path.write_bytes(damaged.encode())
+        try:
+            # an exception that main() does not map to an exit code fails here
+            code = run(["explain", "--config", str(fuzz_dir / "config.json"),
+                        "--method", "cmi"])
+            assert code in (0, 3)
+            assert scores.exists() == (code == 0)
+            if code == 0:
+                with open(scores, newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert rows and all(np.isfinite(float(r[2])) for r in rows)
+        finally:
+            path.write_bytes(original)

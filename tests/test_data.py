@@ -27,6 +27,7 @@ from tsxplain.errors import ConfigError, DataError, SchemaError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
+from oracles import load_cohort_by_cell
 
 
 class TestSchema:
@@ -291,6 +292,45 @@ class TestSynth:
         synth_cohort(SynthConfig(n_patients=20, missing_rate=0.2, seed=seed))
 
 
+def _row(lines, i, edit):
+    """``lines`` with the cells of line ``i`` replaced by ``edit(cells)``."""
+    return lines[:i] + [",".join(edit(lines[i].split(",")))] + lines[i + 1:]
+
+
+# Edits of the cohort CSV that toy_cohort([(2, 4), (None, 3), (None, 2)])
+# writes: line 0 is the header, lines 1-4 hold p0's days 1-4, lines 5-7 p1's
+# days 1-3 and lines 8-9 p2's days 1-2. save_cohort writes none of them, and
+# each is a DataError whose message holds the text given.
+OFF_LAYOUT = {
+    "only id and t": (lambda ls: _row(ls, 2, lambda c: c[:2]),
+                      "line 3: 2 cells, expected 6"),
+    "extra cell": (lambda ls: _row(ls, 2, lambda c: c + ["1"]), "line 3: 7 cells"),
+    "field over the csv limit": (lambda ls: _row(ls, 2, lambda c: c[:3] + ["0" * 131073] + c[4:]),
+                                 "field larger than field limit"),
+    "non-UTF-8 byte": (lambda ls: _row(ls, 5, lambda c: ["p\udcff1"] + c[1:]),
+                       "not CSV text"),
+    "last two cells missing": (lambda ls: _row(ls, 2, lambda c: c[:-2]),
+                               "line 3: 4 cells"),
+    "duplicated row": (lambda ls: ls[:3] + ls[2:], "time step '2' where day 3"),
+    "missing in-stay day": (lambda ls: ls[:2] + ls[3:], "time step '3' where day 2"),
+    "empty patient_id": (lambda ls: ls[:8] + [ls[8][2:], ls[9][2:]],
+                         "line 9: empty patient_id"),
+    "days out of order": (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:],
+                          "patient p0: time step '3' where day 2"),
+    "patient in two blocks": (lambda ls: ls[:4] + ls[5:] + [ls[4]],
+                              "patient p0: rows are not one block"),
+    "empty label": (lambda ls: _row(ls, 6, lambda c: c[:2] + [""] + c[3:]),
+                    "label must be 0 or 1, got ''"),
+    "blank line": (lambda ls: ls[:5] + [""] + ls[5:], "line 6: 0 cells"),
+    "t with a space": (lambda ls: _row(ls, 5, lambda c: c[:1] + [" 1"] + c[2:]),
+                       "time step ' 1' where day 1"),
+    "days beyond T": (lambda ls: ls + [f"p2,{t},0,1,1.0,1.0" for t in range(3, 8)],
+                      "time step 7 outside 1..6 for patient p2"),
+    "bad number": (lambda ls: _row(ls, 2, lambda c: c[:4] + ["1.0.0"] + c[5:]),
+                   "bad value in f1"),
+}
+
+
 class TestCohortIo:
     def test_round_trip_bit_exact(self, tmp_path):
         c = synth_cohort(SynthConfig(n_patients=30, missing_rate=0.2, seed=7))
@@ -363,6 +403,55 @@ class TestCohortIo:
         lines[1] = ",".join(cells)
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="label"):
+            load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+
+    @pytest.mark.parametrize("T", [1, 8, 14])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_cell_oracle_bitwise(self, tmp_path, seed, T):
+        for missing_rate in (0.0, 0.1, 0.3):
+            c = synth_cohort(SynthConfig(n_patients=25, missing_rate=missing_rate,
+                                         T=T, seed=seed))
+            save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+            got = load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=T)
+            want = load_cohort_by_cell(tmp_path / "d.csv", tmp_path / "s.txt", T=T)
+            assert [p.id for p in got.patients] == [p.id for p in want.patients]
+            assert [p.stay_length for p in got.patients] == [
+                p.stay_length for p in want.patients]
+            for a, b in zip(got.stacked()[:3], want.stacked()[:3]):
+                assert a.dtype == b.dtype == np.float64
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.3])
+    def test_load_then_save_reproduces_file(self, tmp_path, missing_rate):
+        c = synth_cohort(SynthConfig(n_patients=30, missing_rate=missing_rate, seed=3))
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        back = load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=c.T)
+        save_cohort(back, tmp_path / "d2.csv", tmp_path / "s2.txt")
+        assert (tmp_path / "d2.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        assert (tmp_path / "s2.txt").read_bytes() == (tmp_path / "s.txt").read_bytes()
+
+    def test_empty_cohort_round_trip(self, tmp_path):
+        c = Cohort(schema=small_schema(), patients=[], T=6)
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        assert load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6).patients == []
+
+    @pytest.mark.parametrize("case", sorted(OFF_LAYOUT))
+    def test_off_layout_rejected(self, tmp_path, case):
+        edit, message = OFF_LAYOUT[case]
+        c = toy_cohort([(2, 4), (None, 3), (None, 2)])
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        lines = edit((tmp_path / "d.csv").read_text().splitlines())
+        (tmp_path / "d.csv").write_bytes(
+            "\r\n".join(lines + [""]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataError, match=message):
+            load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+
+    def test_non_utf8_schema_is_schema_error(self, tmp_path):
+        c = toy_cohort([(None, 2)])
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        (tmp_path / "s.txt").write_bytes(
+            (tmp_path / "s.txt").read_bytes().replace(b"f1", b"f\xff1"))
+        with pytest.raises(SchemaError, match="not text"):
             load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
 
 

@@ -57,6 +57,12 @@ class TestAuc:
         assert roc_auc_step([0.1, 0.9], [1, 1]) is None
         assert roc_auc_step([0.1, 0.9], [0, 0]) is None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_is_data_error(self, bad):
+        for labels in ([1, 0, 1, 0], [1, 1, 1, 1]):
+            with pytest.raises(DataError, match="finite"):
+                roc_auc_step([0.2, bad, 0.7, 0.4], labels)
+
     @given(st.integers(0, 2**32 - 1), st.integers(5, 60))
     @settings(max_examples=40, deadline=None)
     def test_matches_pairwise_oracle(self, seed, n):
