@@ -1,18 +1,21 @@
 """Command-line front end: cohort synthesis, training with repeats,
 explanation with any of the three XAI methods, and report emission.
 
-All commands read one JSON config file; flags override the seed list,
-output directory, and method/scope choices. Outputs are deterministic
-given the config and seeds. Exit codes: 0 success, 2 config error,
-3 data error, 4 runtime/numeric error.
+All commands read one JSON config file, which is checked whole before any
+command runs; flags override the seed list, output directory, and
+method/scope choices. Outputs are deterministic given the config and
+seeds. Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -37,9 +40,9 @@ CONFIG_KEYS = {
     "schema": _PATH,
     "seeds": ("a list of integers",
               lambda v: isinstance(v, list) and all(is_integer(s) for s in v)),
-    "T": ("an integer", is_integer),
+    "T": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
     "threshold": ("a finite number", is_finite_real),
-    "train_fraction": ("a finite number", is_finite_real),
+    "train_fraction": ("a number in (0, 1)", lambda v: is_finite_real(v) and 0 < v < 1),
     "synth": _SECTION,
     "train": _SECTION,
     "cmi": _SECTION,
@@ -47,7 +50,66 @@ CONFIG_KEYS = {
 }
 
 
-def load_config(path) -> dict:
+@dataclasses.dataclass(frozen=True)
+class Settings:
+    """Every value the commands read, each from one config key or flag."""
+
+    out: Path
+    cohort_csv: Path
+    schema: Path
+    seeds: tuple[int, ...]
+    T: int
+    threshold: float
+    train_fraction: float
+    synth: Optional[data_mod.SynthConfig]  # None when the config has no synth section
+    train: model_mod.TrainConfig  # with the first seed
+    cmi: cmi_mod.CmiConfig
+    itshap: itshap_mod.ExplainerConfig
+    max_patients: int
+    steps: str
+
+
+def _section(cfg: dict, name: str, make, **fixed):
+    """``make(**section, **fixed)`` for the config section ``name``. The
+    ``fixed`` values come from the top level, so the section may not set them."""
+    section = cfg.get(name, {})
+    taken = sorted(set(section) & set(fixed))
+    if taken:
+        key = taken[0]
+        source = "'seeds' or --seed" if key == "seed" else f"the top-level {key!r}"
+        raise ConfigError(f"{name} takes no {key}; it comes from {source}")
+    try:
+        return make(**section, **fixed)
+    except TypeError as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
+
+
+def _train_config(**fields) -> model_mod.TrainConfig:
+    """The train section's TrainConfig; its grid lists become the grid_* fields."""
+    grid = fields.pop("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"train grid must be a JSON object, got {grid!r}")
+    unknown = sorted(set(grid) - {"learning_rates", "dropout_rates", "hidden_sizes"})
+    if unknown:
+        raise ConfigError(f"unknown train grid keys: {', '.join(unknown)}")
+    return model_mod.TrainConfig(**fields, **{f"grid_{k}": tuple(v) for k, v in grid.items()})
+
+
+def _explainer_config(max_patients=50, steps="final", **fields):
+    """The itshap section's ExplainerConfig plus the two keys only the CLI reads."""
+    if fields.get("mode", "cell") != "cell":
+        # timestep mode fills only a step x step table, which no CLI artefact holds
+        raise ConfigError(f"itshap mode must be 'cell' in the CLI, got {fields['mode']!r}")
+    if steps not in ("final", "all"):
+        raise ConfigError(f"itshap steps must be 'final' or 'all', got {steps!r}")
+    if not (is_integer(max_patients) and max_patients >= 1):
+        raise ConfigError(f"itshap max_patients must be an integer >= 1, got {max_patients!r}")
+    return itshap_mod.ExplainerConfig(**fields), max_patients, steps
+
+
+def load_config(path, args) -> Settings:
+    """Read the config file and check all of it, every section included,
+    with the ``--seed`` and ``--out`` flags in ``args`` applied."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -64,102 +126,38 @@ def load_config(path) -> dict:
         what, check = CONFIG_KEYS[key]
         if not check(value):
             raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-    return cfg
 
-
-def _out_dir(cfg: dict, args) -> Path:
-    out = Path(args.out or cfg.get("out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _seeds(cfg: dict, args) -> list[int]:
-    if getattr(args, "seed", None):
+    if args.seed:
         try:
             seeds = [int(s) for s in args.seed.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --seed value {args.seed!r}") from exc
     else:
-        seeds = list(cfg.get("seeds", [0, 1, 2]))
+        seeds = cfg.get("seeds", [0, 1, 2])
     if not seeds:
         raise ConfigError("seed list must be nonempty")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
-    return seeds
+    out = Path(args.out or cfg.get("out_dir", "out"))
+    T = cfg.get("T", data_mod.DEFAULT_T)
+    threshold = cfg.get("threshold", 0.5)
+    synth = (_section(cfg, "synth", data_mod.SynthConfig, T=T, seed=seeds[0])
+             if "synth" in cfg else None)
+    train = _section(cfg, "train", _train_config, seed=seeds[0], threshold=threshold)
+    xcfg, max_patients, steps = _section(cfg, "itshap", _explainer_config)
+    return Settings(
+        out=out, cohort_csv=Path(cfg.get("cohort_csv", out / "cohort.csv")),
+        schema=Path(cfg.get("schema", out / "schema.txt")), seeds=tuple(seeds), T=T,
+        threshold=threshold, train_fraction=cfg.get("train_fraction", 0.7), synth=synth,
+        train=train, cmi=_section(cfg, "cmi", cmi_mod.CmiConfig), itshap=xcfg,
+        max_patients=max_patients, steps=steps,
+    )
 
 
-def _synth_config(cfg: dict, seed: int) -> data_mod.SynthConfig:
-    section = dict(cfg.get("synth", {}))
-    section.setdefault("T", cfg.get("T", data_mod.DEFAULT_T))
-    section.setdefault("seed", seed)
-    try:
-        return data_mod.SynthConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth section: {exc}") from exc
-
-
-def _train_config(cfg: dict, seed: int) -> model_mod.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if "seed" in section:
-        raise ConfigError("train takes no seed; each run's seed comes from 'seeds' or --seed")
-    grid = section.pop("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError(f"train grid must be a JSON object, got {grid!r}")
-    unknown = sorted(set(grid) - {"learning_rates", "dropout_rates", "hidden_sizes"})
-    if unknown:
-        raise ConfigError(f"unknown train grid keys: {', '.join(unknown)}")
-    kwargs = dict(section)
-    kwargs["seed"] = seed
-    kwargs.setdefault("threshold", cfg.get("threshold", 0.5))
-    try:
-        for key, values in grid.items():
-            kwargs[f"grid_{key}"] = tuple(values)
-        return model_mod.TrainConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
-
-
-def _cmi_config(cfg: dict) -> cmi_mod.CmiConfig:
-    try:
-        return cmi_mod.CmiConfig(**cfg.get("cmi", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad cmi section: {exc}") from exc
-
-
-def _explainer_config(cfg: dict) -> tuple[itshap_mod.ExplainerConfig, dict]:
-    section = dict(cfg.get("itshap", {}))
-    extras = {
-        "max_patients": section.pop("max_patients", 50),
-        "steps": section.pop("steps", "final"),
-    }
-    if section.get("mode", "cell") != "cell":
-        # timestep mode fills only a step x step table, which no CLI artefact holds
-        raise ConfigError(f"itshap mode must be 'cell' in the CLI, got {section['mode']!r}")
-    if extras["steps"] not in ("final", "all"):
-        raise ConfigError(f"itshap steps must be 'final' or 'all', got {extras['steps']!r}")
-    if not (is_integer(extras["max_patients"]) and extras["max_patients"] >= 1):
-        raise ConfigError(
-            f"itshap max_patients must be an integer >= 1, got {extras['max_patients']!r}"
-        )
-    try:
-        return itshap_mod.ExplainerConfig(**section), extras
-    except TypeError as exc:
-        raise ConfigError(f"bad itshap section: {exc}") from exc
-
-
-def _cohort_paths(cfg: dict, out: Path) -> tuple[Path, Path]:
-    data_path = Path(cfg.get("cohort_csv", out / "cohort.csv"))
-    schema_path = Path(cfg.get("schema", out / "schema.txt"))
-    return data_path, schema_path
-
-
-def _load_cohort(cfg: dict, out: Path) -> data_mod.Cohort:
-    data_path, schema_path = _cohort_paths(cfg, out)
-    if not data_path.exists() or not schema_path.exists():
-        raise DataError(
-            f"cohort files not found ({data_path}, {schema_path}); run synth first"
-        )
-    return data_mod.load_cohort(data_path, schema_path, T=cfg.get("T", data_mod.DEFAULT_T))
+def _load_cohort(s: Settings) -> data_mod.Cohort:
+    if not s.cohort_csv.exists() or not s.schema.exists():
+        raise DataError(f"cohort files not found ({s.cohort_csv}, {s.schema}); run synth first")
+    return data_mod.load_cohort(s.cohort_csv, s.schema, T=s.T)
 
 
 def save_heatmap_pgm(matrix: np.ndarray, path: Path) -> None:
@@ -178,55 +176,41 @@ def save_heatmap_pgm(matrix: np.ndarray, path: Path) -> None:
     )
 
 
-def cmd_synth(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seeds = _seeds(cfg, args)
-    scfg = _synth_config(cfg, seeds[0])
-    cohort = data_mod.synth_cohort(scfg)
-    data_path, schema_path = _cohort_paths(cfg, out)
-    data_path.parent.mkdir(parents=True, exist_ok=True)
-    data_mod.save_cohort(cohort, data_path, schema_path)
+def cmd_synth(s: Settings, args) -> int:
+    if s.synth is None:
+        raise ConfigError("synth needs a synth section with at least n_patients")
+    cohort = data_mod.synth_cohort(s.synth)
+    s.cohort_csv.parent.mkdir(parents=True, exist_ok=True)
+    data_mod.save_cohort(cohort, s.cohort_csv, s.schema)
     n_pos = sum(p.is_positive for p in cohort.patients)
     n = len(cohort.patients)
-    print(f"wrote {data_path} and {schema_path}")
+    print(f"wrote {s.cohort_csv} and {s.schema}")
     print(f"patients: {n}, positive: {n_pos} ({n_pos / n:.3f}), features: {cohort.F}, T: {cohort.T}")
     return 0
 
 
-def _variants(args) -> list[str]:
-    mode = getattr(args, "attention", None) or "both"
-    if mode == "on":
-        return ["attention"]
-    if mode == "off":
-        return ["gru"]
-    if mode == "both":
-        return ["gru", "attention"]
-    raise ConfigError(f"bad --attention value {mode!r}")
+VARIANTS = {"on": ["attention"], "off": ["gru"], "both": ["gru", "attention"]}
 
 
-def cmd_train(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seeds = _seeds(cfg, args)
-    cohort = _load_cohort(cfg, out)
+def cmd_train(s: Settings, args) -> int:
+    cohort = _load_cohort(s)
     classes = {p.is_positive for p in cohort.patients}
     if len(classes) < 2:
         raise DataError("cohort has a single class; training would be degenerate")
-    fraction = cfg.get("train_fraction", 0.7)
-    threshold = cfg.get("threshold", 0.5)
-    variants = _variants(args)
+    variants = VARIANTS[args.attention]
 
     runs: dict[str, list[eval_mod.StepTable]] = {v: [] for v in variants}
-    for seed in seeds:
+    for seed in s.seeds:
         train_c, test_c = data_mod.split_train_test(
-            cohort, fraction, RngStream(seed).child(100)
+            cohort, s.train_fraction, RngStream(seed).child(100)
         )
-        tcfg = _train_config(cfg, seed)
+        tcfg = dataclasses.replace(s.train, seed=seed)
         for variant in variants:
             trained = model_mod.train(train_c, tcfg, use_attention=(variant == "attention"))
-            model_mod.save_model(trained, out / f"ckpt_{variant}_seed{seed}.txt")
-            table = eval_mod.evaluate(trained, test_c, threshold)
+            model_mod.save_model(trained, s.out / f"ckpt_{variant}_seed{seed}.txt")
+            table = eval_mod.evaluate(trained, test_c, s.threshold)
             header = ["metric", "t", "value"]
-            data_mod.write_long_csv(out / f"run_{variant}_seed{seed}.csv", [header] + [
+            data_mod.write_long_csv(s.out / f"run_{variant}_seed{seed}.csv", [header] + [
                 [m, t + 1, v] for m in eval_mod.METRICS for t, v in enumerate(table[m])
             ])
             runs[variant].append(table)
@@ -235,36 +219,30 @@ def cmd_train(cfg: dict, args) -> int:
     for variant in variants:
         if len(runs[variant]) >= 2:
             series = eval_mod.aggregate_repeats(runs[variant])
-            eval_mod.save_metric_series(series, out / f"metrics_{variant}.csv")
-            print(f"wrote {out / f'metrics_{variant}.csv'}")
+            eval_mod.save_metric_series(series, s.out / f"metrics_{variant}.csv")
+            print(f"wrote {s.out / f'metrics_{variant}.csv'}")
     return 0
 
 
-def cmd_explain(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    seeds = _seeds(cfg, args)
-    scope = args.scope or "all"
-    method = args.method
-    cohort = _load_cohort(cfg, out)
+def cmd_explain(s: Settings, args) -> int:
+    out, scope, method = s.out, args.scope, args.method
+    cohort = _load_cohort(s)
     names = cohort.schema.names
 
     if method == "cmi":
         scoped = cohort.subset(cohort.scope_indices(scope))
-        ccfg = _cmi_config(cfg)
-        scores = cmi_mod.cmi_feature_scores(scoped, ccfg)
+        scores = cmi_mod.cmi_feature_scores(scoped, s.cmi)
         selection = None
-        if (ccfg.top_k is None) != (ccfg.threshold is None):
-            selection = cmi_mod.select_features(scores, ccfg)
+        if (s.cmi.top_k is None) != (s.cmi.threshold is None):
+            selection = cmi_mod.select_features(scores, s.cmi)
         path = out / f"importance_cmi_{scope}.csv"
         cmi_mod.save_scores(scores, selection, names, path)
         save_heatmap_pgm(scores.S, out / f"importance_cmi_{scope}.pgm")
         print(f"wrote {path}")
         return 0
 
-    variant = "attention" if method == "attention" else (
-        "attention" if getattr(args, "attention", None) == "on" else "gru"
-    )
-    ckpt = out / f"ckpt_{variant}_seed{seeds[0]}.txt"
+    variant = "attention" if method == "attention" or args.attention == "on" else "gru"
+    ckpt = out / f"ckpt_{variant}_seed{s.seeds[0]}.txt"
     if not ckpt.exists():
         raise DataError(f"checkpoint not found: {ckpt}; run train first")
     trained = model_mod.load_model(ckpt)
@@ -288,38 +266,32 @@ def cmd_explain(cfg: dict, args) -> int:
         print(f"wrote {path}")
         return 0
 
-    if method == "itshap":
-        xcfg, extras = _explainer_config(cfg)
-        fraction = cfg.get("train_fraction", 0.7)
-        train_c, test_c = data_mod.split_train_test(
-            cohort, fraction, RngStream(seeds[0]).child(100)
-        )
-        B = itshap_mod.background_matrix(train_c)
-        explained = test_c.patients[: extras["max_patients"]]
-        explanations = []
-        for p in explained:
-            steps = [p.stay_length] if extras["steps"] == "final" else None
-            explanations.append(
-                itshap_mod.explain_patient(
-                    trained, p.X, p.M, B, xcfg,
-                    stay_length=p.stay_length, steps=steps, patient_id=p.id,
-                )
+    train_c, test_c = data_mod.split_train_test(
+        cohort, s.train_fraction, RngStream(s.seeds[0]).child(100)
+    )
+    B = itshap_mod.background_matrix(train_c)
+    explained = test_c.patients[: s.max_patients]
+    explanations = []
+    for p in explained:
+        steps = [p.stay_length] if s.steps == "final" else None
+        explanations.append(
+            itshap_mod.explain_patient(
+                trained, p.X, p.M, B, s.itshap,
+                stay_length=p.stay_length, steps=steps, patient_id=p.id,
             )
-        sub = test_c.subset(range(len(explained)))
-        agg = itshap_mod.aggregate_by_class(explanations, sub, scope)
-        path = out / f"importance_itshap_{scope}.csv"
-        itshap_mod.save_aggregate(agg, names, path)
-        save_heatmap_pgm(agg.W, out / f"importance_itshap_{scope}.pgm")
-        per_patient = out / f"attributions_itshap_{scope}.csv"
-        itshap_mod.save_attributions(explanations, names, per_patient)
-        print(f"wrote {path}")
-        return 0
-
-    raise ConfigError(f"unknown method {method!r}")
+        )
+    sub = test_c.subset(range(len(explained)))
+    agg = itshap_mod.aggregate_by_class(explanations, sub, scope)
+    path = out / f"importance_itshap_{scope}.csv"
+    itshap_mod.save_aggregate(agg, names, path)
+    save_heatmap_pgm(agg.W, out / f"importance_itshap_{scope}.pgm")
+    itshap_mod.save_attributions(explanations, names, out / f"attributions_itshap_{scope}.csv")
+    print(f"wrote {path}")
+    return 0
 
 
-def cmd_report(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
+def cmd_report(s: Settings, args) -> int:
+    out = s.out
     paths = {v: out / f"metrics_{v}.csv" for v in ("gru", "attention")}
     for v, p in paths.items():
         if not p.exists():
@@ -383,17 +355,18 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg_path = args.config
     try:
-        cfg = load_config(cfg_path)
-        return COMMANDS[args.command](cfg, args)
+        settings = load_config(args.config, args)
+        settings.out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command](settings, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, SchemaError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NotTrainedError, ArithmeticError, ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (NotTrainedError, ArithmeticError, ValueError, OSError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 4
 

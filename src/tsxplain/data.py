@@ -33,6 +33,9 @@ class FeatureDescriptor:
     group: str
 
     def __post_init__(self):
+        # the schema file holds one stripped value per line
+        if not isinstance(self.name, str) or self.name.strip().splitlines() != [self.name]:
+            raise SchemaError(f"feature name {self.name!r} is empty, padded or spans lines")
         if self.kind not in KINDS:
             raise SchemaError(f"unknown kind {self.kind!r} for feature {self.name!r}")
         if self.group not in GROUPS:

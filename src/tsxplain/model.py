@@ -86,7 +86,7 @@ class TrainConfig:
                 raise ConfigError(f"dropout rates must be in [0, 1), got {dr!r}")
         counts = [("hidden_size", self.hidden_size, 1), ("max_epochs", self.max_epochs, 1),
                   ("patience", self.patience, 0), ("batch_size", self.batch_size, 1),
-                  ("seed", self.seed, 0), ("cv_folds", self.cv_folds, 1)]
+                  ("seed", self.seed, 0), ("cv_folds", self.cv_folds, 2)]
         counts += [("grid hidden_sizes", h, 1) for h in self.grid_hidden_sizes or ()]
         for name, value, least in counts:
             if not (is_integer(value) and value >= least):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from tsxplain import cli, model
 from tsxplain import evaluation as eval_mod
-from tsxplain.data import load_cohort
+from tsxplain.data import load_cohort, split_train_test
 from tsxplain.errors import ConfigError, DataError
+from tsxplain.numerics import RngStream
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -159,6 +160,29 @@ class TestTrain:
         cfg_path, _ = write_config(tmp_path, {"synth": {"mdr_fraction": 0.0}})
         run(["synth", "--config", str(cfg_path)])
         assert run(["train", "--config", str(cfg_path)]) == 3
+
+    def test_threshold_is_one_value(self, tmp_path):
+        """The top-level threshold is both the checkpoint's and the one the
+        run table is evaluated at."""
+        cfg_path, _ = write_config(tmp_path, {"threshold": 0.05, "seeds": [0]})
+        run(["synth", "--config", str(cfg_path)])
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 0
+        out = tmp_path / "out"
+        ckpt = out / "ckpt_gru_seed0.txt"
+        assert f"threshold {float.hex(0.05)}\n" in ckpt.read_text()
+        cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
+        _, test_c = split_train_test(cohort, 0.7, RngStream(0).child(100))
+        trained = model.load_model(ckpt)
+        with open(out / "run_gru_seed0.csv", newline="") as fh:
+            written = [(m, int(t), None if v == "" else float(v))
+                       for m, t, v in list(csv.reader(fh))[1:]]
+
+        def rows(threshold):
+            table = eval_mod.evaluate(trained, test_c, threshold)
+            return [(m, t + 1, v) for m in eval_mod.METRICS for t, v in enumerate(table[m])]
+
+        assert written == rows(0.05)
+        assert written != rows(0.5)
 
 
 class TestExplain:
@@ -321,6 +345,18 @@ class TestExplain:
             ["explain", "--config", str(cfg_path), "--method", "itshap"]
         ) == 3
 
+    def test_out_of_memory_exit_4(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, {"synth": {"n_patients": 30}})
+        assert run(["synth", "--config", str(cfg_path)]) == 0
+        # the cohort's (2, n, F, T) block for this T exceeds any address
+        # space, so the allocation fails at once
+        cfg_path, _ = write_config(tmp_path, {"synth": {"n_patients": 30}, "T": 10**12})
+        capsys.readouterr()
+        assert run(["explain", "--config", str(cfg_path), "--method", "cmi"]) == 4
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "importance_cmi_all.csv").exists()
+
 
 class TestReport:
     def test_full_pipeline(self, tmp_path):
@@ -422,6 +458,7 @@ class TestConfigHandling:
         ("seeds", 5), ("seeds", [0, 1.5]), ("T", "8"), ("T", 8.0),
         ("threshold", None), ("threshold", float("nan")),
         ("train_fraction", "0.7"), ("out_dir", 3), ("cohort_csv", None),
+        ("train_fraction", 0), ("train_fraction", 1.5), ("T", 0),
     ])
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_badly_typed_top_level_value_exit_2(self, tmp_path, capsys, command,
@@ -435,6 +472,7 @@ class TestConfigHandling:
         {"n_care": 2.0}, {"n_antibiotic": 0}, {"T": 2.5}, {"seed": -1},
         {"seed": 1.5}, {"mdr_fraction": 1.0}, {"missing_rate": float("nan")},
         {"mean_stay": 0}, {"signal_strength": "4"}, {"signal_strength": float("inf")},
+        {"T": 8}, {"seed": 0},  # set at the top level only
     ])
     def test_bad_synth_field_exit_2(self, tmp_path, capsys, synth):
         cfg_path, _ = write_config(tmp_path, {"synth": synth})
@@ -448,6 +486,7 @@ class TestConfigHandling:
         {"dropout_rate": float("nan")}, {"threshold": "x"},
         {"grid": {"hidden_sizes": [2.5]}}, {"grid": {"dropout_rates": [0.0, 1.0]}},
         {"grid": {"learning_rate": [0.5]}}, {"grid": [0.5]}, {"seed": 5},
+        {"threshold": 0.5}, {"cv_folds": 1},
     ])
     def test_bad_train_field_exit_2(self, tmp_path, capsys, train):
         cfg_path, _ = write_config(tmp_path, {"train": train})
@@ -456,6 +495,15 @@ class TestConfigHandling:
         assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
+
+    @pytest.mark.parametrize("section,bad", [
+        ("itshap", {"max_patients": 0}), ("cmi", {"n_bins": 1}), ("train", {"cv_folds": 1}),
+    ])
+    def test_other_commands_section_checked_exit_2(self, tmp_path, capsys, section, bad):
+        cfg_path, _ = write_config(tmp_path, {section: bad})
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, {"seeds": [0, -1]})

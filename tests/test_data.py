@@ -54,6 +54,11 @@ class TestSchema:
         path = tmp_path / "schema.txt"
         save_schema(schema, path)
         assert load_schema(path) == schema
+        # load_schema strips each line, so a name it would read back
+        # differently is rejected when the descriptor is made
+        for name in ("", " x", "x ", "\tx", "a\nb", "a\rb", "a\u2028b", "\n"):
+            with pytest.raises(SchemaError, match="feature name"):
+                FeatureDescriptor(name, "binary", "care")
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "schema.txt"

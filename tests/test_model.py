@@ -439,6 +439,7 @@ class TestTrain:
         {"patience": -1}, {"batch_size": "16"}, {"cv_folds": 0}, {"seed": -1},
         {"threshold": float("nan")}, {"dropout_rate": None},
         {"grid_hidden_sizes": (4, 2.0)}, {"grid_dropout_rates": (0.0, -0.1)},
+        {"cv_folds": 1},  # kfold needs two folds
     ])
     def test_badly_typed_field(self, field):
         with pytest.raises(ConfigError):

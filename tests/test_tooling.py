@@ -1,11 +1,13 @@
-"""Checks on the benchmark harness in ``perfbench/`` that need no benchmark run."""
+"""Checks on the benchmark harness in ``perfbench/`` and on the README that
+need no benchmark or CLI run."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -22,3 +24,16 @@ def test_traced_names_resolve():
     missing = [f"{module}.{attr}" for module, attr, *_ in tracing.WRAPS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_readme_config_loads(tmp_path):
+    """The README's example config passes the CLI's whole-file check."""
+    from tsxplain import cli
+
+    block = (ROOT / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    args = cli.build_parser().parse_args(["synth", "--config", str(path)])
+    settings = cli.load_config(path, args)
+    assert settings.seeds == (0, 1, 2) and settings.T == 20
+    assert settings.synth.n_patients == 1000 and settings.max_patients == 25
