@@ -180,7 +180,8 @@ def cmd_synth(s: Settings, args) -> int:
     if s.synth is None:
         raise ConfigError("synth needs a synth section with at least n_patients")
     cohort = data_mod.synth_cohort(s.synth)
-    s.cohort_csv.parent.mkdir(parents=True, exist_ok=True)
+    for path in (s.cohort_csv, s.schema):
+        path.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_cohort(cohort, s.cohort_csv, s.schema)
     n_pos = sum(p.is_positive for p in cohort.patients)
     n = len(cohort.patients)
@@ -207,6 +208,7 @@ def cmd_train(s: Settings, args) -> int:
         tcfg = dataclasses.replace(s.train, seed=seed)
         for variant in variants:
             trained = model_mod.train(train_c, tcfg, use_attention=(variant == "attention"))
+            s.out.mkdir(parents=True, exist_ok=True)
             model_mod.save_model(trained, s.out / f"ckpt_{variant}_seed{seed}.txt")
             table = eval_mod.evaluate(trained, test_c, s.threshold)
             header = ["metric", "t", "value"]
@@ -235,6 +237,7 @@ def cmd_explain(s: Settings, args) -> int:
         selection = None
         if (s.cmi.top_k is None) != (s.cmi.threshold is None):
             selection = cmi_mod.select_features(scores, s.cmi)
+        out.mkdir(parents=True, exist_ok=True)
         path = out / f"importance_cmi_{scope}.csv"
         cmi_mod.save_scores(scores, selection, names, path)
         save_heatmap_pgm(scores.S, out / f"importance_cmi_{scope}.pgm")
@@ -357,7 +360,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = load_config(args.config, args)
-        settings.out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](settings, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

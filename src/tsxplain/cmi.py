@@ -56,14 +56,31 @@ class CmiScores:
         return self.valid_counts < MIN_VALID_SAMPLES
 
 
+def _ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of a 1-D column in value order, and the number of levels.
+
+    Non-negative integers below ``max(4n, 2**16)`` are ranked without a sort,
+    by a presence table: ``cumsum(bincount(col) > 0) - 1``; the bound keeps
+    the table's length within a small multiple of the column's. Anything
+    else (floats, booleans, uint64, negative values, larger keys) goes
+    through ``np.unique``.
+    """
+    if (col.dtype.kind in "iu" and np.can_cast(col.dtype, np.intp) and col.min() >= 0
+            and col.max() < max(4 * col.shape[0], 2**16)):
+        table = np.cumsum(np.bincount(col) > 0) - 1
+        return table[col], int(table[-1]) + 1
+    levels, rank = np.unique(col, return_inverse=True)
+    return rank, levels.size
+
+
 def _codes(*columns) -> np.ndarray:
     """Joint codes of the sample rows, numbered in lexicographic row order.
 
     Each argument is one variable (1-D) or several (2-D, one per column).
-    Each variable is ranked by a 1-D ``np.unique``, folded into the running
-    code as its less significant digit and the result ranked again, so every
-    key stays below n * (number of levels) and ``bincount`` of the codes
-    lists the counts in the order ``np.unique(axis=0)`` finds the rows.
+    Each variable is ranked (see ``_ranks``), folded into the running code
+    as its less significant digit and the result ranked again, so every key
+    stays below n * (number of levels) and ``bincount`` of the codes lists
+    the counts in the order ``np.unique(axis=0)`` finds the rows.
     """
     arrays = [np.asarray(c) for c in columns]
     if any(a.ndim not in (1, 2) for a in arrays):
@@ -75,11 +92,8 @@ def _codes(*columns) -> np.ndarray:
     codes = None
     for a in arrays:
         for col in a.reshape(a.shape[0], -1).T:
-            levels, rank = np.unique(col, return_inverse=True)
-            if codes is None:
-                codes = rank
-            else:
-                _, codes = np.unique(codes * levels.size + rank, return_inverse=True)
+            rank, levels = _ranks(col)
+            codes = rank if codes is None else _ranks(codes * levels + rank)[0]
     return codes
 
 
@@ -138,7 +152,9 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
     features at each step are scored sequentially, each conditioned on the
     joint of the already-selected features at that step (capped at
     ``max_conditioners``) over the patients observed for all of them; when
-    fewer than 10 are, the feature gets its unconditioned score. Cells with
+    fewer than 10 are, the feature gets its unconditioned score. Once the
+    conditioning set is full, the remaining features all keep the scores of
+    that round, which is what further rounds would give them. Cells with
     fewer than 10 observed samples are left at 0 and flagged absent via
     valid_counts.
     """
@@ -153,29 +169,38 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
         # mask zero beyond each stay, so the flags also mark the valid steps
         X = np.array([p.X[:, t] for p in c.patients])
         seen = np.array([p.M[:, t] for p in c.patients]) == 1.0
-        y = np.array([p.y[t] for p in c.patients])
+        y = _ranks(np.array([p.y[t] for p in c.patients]))[0]
         counts[:, t] = seen.sum(axis=0)
         scored = [f for f in range(F) if counts[f, t] >= MIN_VALID_SAMPLES]
+        # the scored cells as int64 codes (bins, or the ranks of a binary
+        # feature's values), which every entropy then ranks without a sort;
+        # the unscored columns are never read and stay 0
+        codes = np.zeros(X.shape, dtype=np.int64)
         for f in scored:
             if c.schema.features[f].kind == "numeric":
-                X[seen[:, f], f] = discretize(X[seen[:, f], f], cfg.n_bins, cfg.binning)
+                codes[seen[:, f], f] = discretize(X[seen[:, f], f], cfg.n_bins, cfg.binning)
+            else:
+                codes[seen[:, f], f] = _ranks(X[seen[:, f], f])[0]
 
         def score(f: int, conditioners: list[int]) -> float:
             if conditioners:
                 common = seen[:, [f, *conditioners]].all(axis=1)
                 if common.sum() >= MIN_VALID_SAMPLES:
                     return conditional_mutual_information(
-                        X[common, f], y[common], X[np.ix_(common, conditioners)]
+                        codes[common, f], y[common], codes[np.ix_(common, conditioners)]
                     )
-            return mutual_information(X[seen[:, f], f], y[seen[:, f]])
+            return mutual_information(codes[seen[:, f], f], y[seen[:, f]])
 
-        if cfg.conditioning == "none":
-            for f in scored:
-                S[f, t] = score(f, [])
-            continue
+        # greedy rounds fill the conditioning set ("none" keeps it empty);
+        # once it is full, later rounds would only score the remaining
+        # features against it again to the same values, so all are final
+        full = cfg.max_conditioners if cfg.conditioning == "greedy_selected" else 0
         selected: list[int] = []
         while scored:
-            scores = [score(f, selected[: cfg.max_conditioners]) for f in scored]
+            scores = [score(f, selected) for f in scored]
+            if len(selected) == full:
+                S[scored, t] = scores
+                break
             best = int(np.argmax(scores))  # the first of equal best scores
             S[scored[best], t] = scores[best]
             selected.append(scored.pop(best))

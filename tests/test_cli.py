@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from tsxplain import cli, model
 from tsxplain import evaluation as eval_mod
+from tsxplain.cmi import MIN_VALID_SAMPLES, CmiConfig
 from tsxplain.data import load_cohort, split_train_test
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.numerics import RngStream
+
+from oracles import cmi_scores_by_cell
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -86,6 +90,12 @@ class TestSynth:
         out = tmp_path / "out"
         cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
         assert not any(p.is_positive for p in cohort.patients)
+
+    def test_without_synth_section_exit_2_leaves_no_out_dir(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_changes_cohort(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -344,6 +354,46 @@ class TestExplain:
         assert run(
             ["explain", "--config", str(cfg_path), "--method", "itshap"]
         ) == 3
+
+    @pytest.mark.parametrize("method", ["cmi", "attention", "itshap"])
+    def test_without_cohort_exit_3_leaves_no_out_dir(self, tmp_path, method):
+        cfg_path, _ = write_config(tmp_path)
+        assert run(["explain", "--config", str(cfg_path), "--method", method]) == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("conditioning", ["none", "greedy_selected"])
+    def test_cmi_unscored_huge_values(self, tmp_path, conditioning):
+        """A numeric column observed in fewer than 10 rows a step is never
+        scored, so its 1e300 values are never cast to integer codes."""
+        cfg_path, cfg = write_config(tmp_path, {"cmi": {"conditioning": conditioning}})
+        run(["synth", "--config", str(cfg_path)])
+        data = tmp_path / "out" / "cohort.csv"
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("env_0")
+        kept: dict[str, int] = {}
+        for row in rows[1:]:
+            kept[row[1]] = kept.get(row[1], 0) + 1
+            row[col] = "1e+300" if kept[row[1]] <= 3 else ""
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.warns(RuntimeWarning):  # what a cast of the column would do
+            np.array([1e300]).astype(np.int64)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["explain", "--config", str(cfg_path), "--method", "cmi"]) == 0
+        cohort = load_cohort(data, tmp_path / "out" / "schema.txt", T=8)
+        S, counts = cmi_scores_by_cell(cohort, CmiConfig(**cfg["cmi"]))
+        f = cohort.schema.index("env_0")
+        assert 0 < counts[f].max() < MIN_VALID_SAMPLES and S.any()
+        with open(tmp_path / "out" / "importance_cmi_all.csv", newline="") as fh:
+            written = list(csv.DictReader(fh))
+        assert len(written) == S.size
+        for r in written:
+            f, t = cohort.schema.index(r["feature"]), int(r["t"]) - 1
+            assert float(r["score_bits"]) == S[f, t]
+            assert int(r["n_valid"]) == counts[f, t]
 
     def test_out_of_memory_exit_4(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, {"synth": {"n_patients": 30}})

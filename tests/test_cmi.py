@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsxplain import cmi as cmi_mod
 from tsxplain.cmi import (
     MIN_VALID_SAMPLES,
     CmiConfig,
@@ -346,6 +347,95 @@ class TestJointCoder:
     def test_malformed_samples(self, columns):
         with pytest.raises(DataError):
             _codes(*columns)
+
+
+# non-negative integer columns, ranked by a presence table when their values
+# stay below max(4n, 2**16) and by np.unique above it
+NONNEG_COLUMN = st.one_of(st.integers(0, 4), st.integers(2**16 - 2, 2**16 + 1))
+
+
+class TestIntegerCoder:
+    """The sort-free ranks of non-negative integers against ``np.unique``."""
+
+    check = staticmethod(TestJointCoder.check)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.uint64, np.bool_])
+    def test_dtypes(self, dtype):
+        gen = RngStream(21).generator()
+        columns = [gen.integers(0, 2, 300).astype(dtype),
+                   gen.integers(0, 2 if dtype == np.bool_ else 200, 300).astype(dtype)]
+        self.check(columns)
+        self.check(columns[::-1])
+        self.check([columns[1]])
+
+    def test_small_codes_need_no_sort(self, monkeypatch):
+        gen = RngStream(22).generator()
+        columns = [gen.integers(0, 9, 400), gen.integers(0, 3, (400, 2))]
+        expected = _codes(*columns)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called on small integer codes")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        got = _codes(*columns)
+        monkeypatch.undo()
+        assert np.array_equal(got, expected)
+        _, rows = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
+        assert np.array_equal(got, rows.ravel())
+
+    @pytest.mark.parametrize("n", [50, 20000])  # bound 2**16, then 4n
+    def test_values_at_the_bound(self, n):
+        bound = max(4 * n, 2**16)
+        gen = RngStream(n).generator()
+        for top in (bound - 1, bound):  # the last value ranked without a sort, the first with
+            column = gen.integers(0, 4, n)
+            column[::7] = top
+            self.check([column])
+            self.check([gen.integers(0, 3, n), column])
+
+    def test_fold_key_over_the_bound(self):
+        n = 300
+        gen = RngStream(23).generator()
+        # n levels folded with n more exceed the bound; the last column is back below it
+        columns = [gen.permutation(n), gen.permutation(n), gen.integers(0, 3, n)]
+        assert (n - 1) * n + (n - 1) >= max(4 * n, 2**16)
+        self.check(columns)
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.one_of(st.lists(NONNEG_COLUMN, min_size=n, max_size=n),
+                  st.lists(INT_COLUMN, min_size=n, max_size=n),
+                  st.lists(FLOAT_COLUMN, min_size=n, max_size=n)),
+        min_size=1, max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_columns(self, columns):
+        self.check([np.array(c) for c in columns])
+
+
+class TestEntropyCalls:
+    """Each scored cell costs 3 entropies unconditioned and 4 conditioned, and
+    the greedy pass stops at the round whose conditioning set is full."""
+
+    @pytest.mark.parametrize("conditioning,max_conditioners", [
+        ("none", 2), ("greedy_selected", 0), ("greedy_selected", 1),
+        ("greedy_selected", 2), ("greedy_selected", 3),
+    ])
+    def test_count(self, monkeypatch, conditioning, max_conditioners):
+        T, F = 3, 5
+        c = toy_cohort([(None, T)] * 20 + [(1, T)] * 20, F=F, T=T)  # every cell seen
+        calls = []
+        real = cmi_mod.entropy
+
+        def counted(*columns):
+            calls.append(len(columns))
+            return real(*columns)
+
+        monkeypatch.setattr(cmi_mod, "entropy", counted)
+        cfg = CmiConfig(conditioning=conditioning, max_conditioners=max_conditioners)
+        scores = cmi_feature_scores(c, cfg)
+        s = F
+        mc = max_conditioners if conditioning == "greedy_selected" else 0
+        assert (scores.valid_counts == 40).all()
+        assert len(calls) == T * (3 * s + 4 * sum(s - k for k in range(1, min(mc, s - 1) + 1)))
 
 
 def masked_cohort(n: int, missing_rate: float, seed: int) -> Cohort:
