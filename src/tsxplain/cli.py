@@ -183,8 +183,7 @@ def cmd_synth(s: Settings, args) -> int:
     for path in (s.cohort_csv, s.schema):
         path.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_cohort(cohort, s.cohort_csv, s.schema)
-    n_pos = sum(p.is_positive for p in cohort.patients)
-    n = len(cohort.patients)
+    n_pos, n = int(cohort.y.any(axis=1).sum()), len(cohort.ids)
     print(f"wrote {s.cohort_csv} and {s.schema}")
     print(f"patients: {n}, positive: {n_pos} ({n_pos / n:.3f}), features: {cohort.F}, T: {cohort.T}")
     return 0
@@ -195,8 +194,8 @@ VARIANTS = {"on": ["attention"], "off": ["gru"], "both": ["gru", "attention"]}
 
 def cmd_train(s: Settings, args) -> int:
     cohort = _load_cohort(s)
-    classes = {p.is_positive for p in cohort.patients}
-    if len(classes) < 2:
+    positive = cohort.y.any(axis=1)
+    if positive.all() or not positive.any():
         raise DataError("cohort has a single class; training would be degenerate")
     variants = VARIANTS[args.attention]
 
@@ -218,11 +217,13 @@ def cmd_train(s: Settings, args) -> int:
             runs[variant].append(table)
             print(f"seed {seed} variant {variant}: trained and evaluated")
 
+    if len(s.seeds) < 2:
+        print("wrote no aggregate metrics: they need train over at least two seeds")
+        return 0
     for variant in variants:
-        if len(runs[variant]) >= 2:
-            series = eval_mod.aggregate_repeats(runs[variant])
-            eval_mod.save_metric_series(series, s.out / f"metrics_{variant}.csv")
-            print(f"wrote {s.out / f'metrics_{variant}.csv'}")
+        series = eval_mod.aggregate_repeats(runs[variant])
+        eval_mod.save_metric_series(series, s.out / f"metrics_{variant}.csv")
+        print(f"wrote {s.out / f'metrics_{variant}.csv'}")
     return 0
 
 
@@ -232,8 +233,7 @@ def cmd_explain(s: Settings, args) -> int:
     names = cohort.schema.names
 
     if method == "cmi":
-        scoped = cohort.subset(cohort.scope_indices(scope))
-        scores = cmi_mod.cmi_feature_scores(scoped, s.cmi)
+        scores = cmi_mod.cmi_feature_scores(cohort, s.cmi, scope)
         selection = None
         if (s.cmi.top_k is None) != (s.cmi.threshold is None):
             selection = cmi_mod.select_features(scores, s.cmi)
@@ -273,9 +273,9 @@ def cmd_explain(s: Settings, args) -> int:
         cohort, s.train_fraction, RngStream(s.seeds[0]).child(100)
     )
     B = itshap_mod.background_matrix(train_c)
-    explained = test_c.patients[: s.max_patients]
+    explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))
     explanations = []
-    for p in explained:
+    for p in explained.patients:
         steps = [p.stay_length] if s.steps == "final" else None
         explanations.append(
             itshap_mod.explain_patient(
@@ -283,8 +283,7 @@ def cmd_explain(s: Settings, args) -> int:
                 stay_length=p.stay_length, steps=steps, patient_id=p.id,
             )
         )
-    sub = test_c.subset(range(len(explained)))
-    agg = itshap_mod.aggregate_by_class(explanations, sub, scope)
+    agg = itshap_mod.aggregate_by_class(explanations, explained, scope)
     path = out / f"importance_itshap_{scope}.csv"
     itshap_mod.save_aggregate(agg, names, path)
     save_heatmap_pgm(agg.W, out / f"importance_itshap_{scope}.pgm")
@@ -298,7 +297,8 @@ def cmd_report(s: Settings, args) -> int:
     paths = {v: out / f"metrics_{v}.csv" for v in ("gru", "attention")}
     for v, p in paths.items():
         if not p.exists():
-            raise DataError(f"missing aggregate metrics for {v}: {p}; run train first")
+            raise DataError(f"missing aggregate metrics for {v}: {p}; aggregate "
+                            "metrics need train over at least two seeds")
     gru_series = eval_mod.load_metric_series(paths["gru"])
     att_series = eval_mod.load_metric_series(paths["attention"])
     report = eval_mod.delta_report(gru_series, att_series)

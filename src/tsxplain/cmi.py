@@ -144,8 +144,9 @@ def discretize(values: np.ndarray, n_bins: int, binning: str) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
-def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
-    """Score every (feature, time step) cell against the step label.
+def cmi_feature_scores(c: Cohort, cfg: CmiConfig, scope: str = "all") -> CmiScores:
+    """Score every (feature, time step) cell against the step label, over
+    the patients in ``scope`` (see ``Cohort.scope_indices``).
 
     With conditioning "none" each score is the plug-in mutual information
     between the (discretized) feature and the label. With "greedy_selected"
@@ -158,18 +159,17 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig) -> CmiScores:
     fewer than 10 observed samples are left at 0 and flagged absent via
     valid_counts.
     """
-    if not c.patients:
-        raise DataError("cohort is empty")
+    picked = np.asarray(c.scope_indices(scope))
     F, T = c.F, c.T
     S = np.zeros((F, T))
     counts = np.zeros((F, T), dtype=np.int64)
 
     for t in range(T):
-        # (n, F) values and observed flags at step t; validation keeps the
-        # mask zero beyond each stay, so the flags also mark the valid steps
-        X = np.array([p.X[:, t] for p in c.patients])
-        seen = np.array([p.M[:, t] for p in c.patients]) == 1.0
-        y = _ranks(np.array([p.y[t] for p in c.patients]))[0]
+        # (picked, F) values and observed flags at step t; validation keeps
+        # the mask zero beyond each stay, so the flags also mark valid steps
+        X = c.X[picked, :, t]
+        seen = c.M[picked, :, t] == 1.0
+        y = _ranks(c.y[picked, t])[0]
         counts[:, t] = seen.sum(axis=0)
         scored = [f for f in range(F) if counts[f, t] >= MIN_VALID_SAMPLES]
         # the scored cells as int64 codes (bins, or the ranks of a binary

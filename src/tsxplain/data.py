@@ -8,9 +8,9 @@ the stay are all zero.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -76,74 +76,99 @@ class PatientRecord:
     y: np.ndarray  # (T,) in {0, 1}
     stay_length: int
 
-    def validate(self, F: int, T: int) -> None:
-        if self.X.shape != (F, T) or self.M.shape != (F, T):
-            raise DataError(f"patient {self.id}: X/M must be {F}x{T}")
-        if self.y.shape != (T,):
-            raise DataError(f"patient {self.id}: y must have length {T}")
-        if not (1 <= self.stay_length <= T):
-            raise DataError(f"patient {self.id}: stay_length out of 1..{T}")
-        if not np.isin(self.M, (0.0, 1.0)).all():
-            raise DataError(f"patient {self.id}: mask must be binary")
-        if self.M[:, self.stay_length:].any():
-            raise DataError(f"patient {self.id}: mask set beyond stay")
-        if self.y[self.stay_length:].any():
-            raise DataError(f"patient {self.id}: label set beyond stay")
-        valid = self.y[: self.stay_length]
-        if np.any(np.diff(valid) < 0):
-            raise DataError(f"patient {self.id}: labels must be non-decreasing")
-
     @property
     def is_positive(self) -> bool:
         return bool(self.y.any())
 
     def valid_steps(self) -> np.ndarray:
-        flags = np.zeros(self.y.shape[0], dtype=bool)
-        flags[: self.stay_length] = True
-        return flags
+        return np.arange(self.y.shape[0]) < self.stay_length
 
 
-@dataclass
 class Cohort:
-    schema: FeatureSchema
-    patients: list[PatientRecord]
-    T: int = DEFAULT_T
+    """Patients as the rows of one block per field: ``X`` and ``M`` (n, F, T),
+    ``y`` (n, T), and the stay lengths ``stay`` and ``ids`` (n,).
 
-    def __post_init__(self):
-        for p in self.patients:
-            p.validate(self.schema.F, self.T)
+    ``Cohort(schema, patients, T)`` stacks the given records once and
+    validates the blocks; ``from_blocks`` takes blocks as they are.
+    """
+
+    def __init__(self, schema: FeatureSchema, patients, T: int = DEFAULT_T):
+        F, n = schema.F, len(patients)
+        for p in patients:
+            if p.X.shape != (F, T) or p.M.shape != (F, T) or p.y.shape != (T,):
+                raise DataError(f"patient {p.id}: X/M must be {F}x{T} and y of length {T}")
+
+        def block(field, *shape):
+            return np.array([getattr(p, field) for p in patients],
+                            dtype=np.float64).reshape(n, *shape)
+
+        self.schema, self.T = schema, T
+        self.X, self.M, self.y = block("X", F, T), block("M", F, T), block("y", T)
+        self.stay = np.array([p.stay_length for p in patients], dtype=np.int64)
+        self.ids = np.array([p.id for p in patients], dtype=object)
+        self._validate()
+
+    @classmethod
+    def from_blocks(cls, schema: FeatureSchema, T: int, X, M, y, stay, ids) -> "Cohort":
+        """The cohort whose patient i is row i of every block, unchecked."""
+        c = cls.__new__(cls)
+        c.schema, c.T, c.X, c.M, c.y, c.stay, c.ids = schema, T, X, M, y, stay, ids
+        return c
+
+    def _validate(self) -> "Cohort":
+        """Check every rule over the whole blocks at once. The first patient
+        that breaks any rule is named, with the first rule it breaks."""
+        X, M, y, valid = self.stacked()
+        rules = [  # (flags of the offending patients, or of their cells; message)
+            ((self.stay < 1) | (self.stay > self.T), f"stay_length out of 1..{self.T}"),
+            ((M != 0.0) & (M != 1.0), "mask must be binary"),
+            (M.any(axis=1) & ~valid, "mask set beyond stay"),
+            ((y != 0.0) & (y != 1.0), "labels must be 0 or 1"),
+            ((y != 0.0) & ~valid, "label set beyond stay"),
+            ((y[:, 1:] < y[:, :-1]) & valid[:, 1:], "labels must be non-decreasing"),
+            (~np.isfinite(X), "values must be finite"),
+        ]
+        bad = np.array([b.any(axis=tuple(range(1, b.ndim))) for b, _ in rules])  # (rules, n)
+        offenders = np.flatnonzero(bad.any(axis=0))
+        if offenders.size:
+            i = offenders[0]
+            raise DataError(f"patient {self.ids[i]}: {rules[np.argmax(bad[:, i])][1]}")
+        return self
 
     @property
     def F(self) -> int:
         return self.schema.F
 
+    @cached_property
+    def patients(self) -> list[PatientRecord]:
+        """One record per patient, whose X, M and y are views into the
+        blocks: a write through a record changes the cohort."""
+        return [PatientRecord(id=self.ids[i], X=self.X[i], M=self.M[i], y=self.y[i],
+                              stay_length=int(self.stay[i])) for i in range(len(self.ids))]
+
     def subset(self, indices) -> "Cohort":
-        """The patients at ``indices``, in that order. The records were
-        validated when this cohort was built, so they are not checked again."""
-        sub = copy.copy(self)
-        sub.patients = [self.patients[i] for i in indices]
-        return sub
+        """A copy of the patients at ``indices``, in that order. The blocks
+        were validated when this cohort was built, so they are not checked
+        again."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return Cohort.from_blocks(self.schema, self.T, self.X[idx], self.M[idx],
+                                  self.y[idx], self.stay[idx], self.ids[idx])
 
     def scope_indices(self, scope: str) -> list[int]:
         """Indices of the patients in scope: "all", "positive" (ever turns
         positive) or "negative" (never does)."""
         if scope not in SCOPES:
             raise ConfigError(f"unknown scope {scope!r}")
-        picked = [
-            i for i, p in enumerate(self.patients)
-            if scope == "all" or p.is_positive == (scope == "positive")
-        ]
-        if not picked:
+        positive = self.y.any(axis=1)
+        picked = np.flatnonzero((scope == "all") | (positive == (scope == "positive")))
+        if not picked.size:
             raise DataError(f"no patients in scope {scope!r}")
-        return picked
+        return picked.tolist()
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return (X, M, y, valid) stacked over patients, shapes (n,F,T)/(n,T)."""
-        X = np.stack([p.X for p in self.patients])
-        M = np.stack([p.M for p in self.patients])
-        y = np.stack([p.y for p in self.patients])
-        valid = np.stack([p.valid_steps() for p in self.patients])
-        return X, M, y, valid
+        """Return the blocks X, M and y themselves, shapes (n,F,T)/(n,T), and
+        the (n, T) flags of the steps within each stay."""
+        return self.X, self.M, self.y, np.arange(self.T) < self.stay[:, None]
 
 
 @dataclass(frozen=True)
@@ -172,30 +197,22 @@ def compute_class_weights(train: Cohort) -> ClassWeights:
     Steps with a single class or no valid patients fall back to 0.5, which
     reduces the balanced loss to plain BCE there.
     """
-    if not train.patients:
+    if not train.ids.size:
         raise DataError("cannot compute class weights for an empty cohort")
-    beta = np.full(train.T, 0.5)
     _, _, y, valid = train.stacked()
-    for t in range(train.T):
-        sel = valid[:, t]
-        n = int(sel.sum())
-        if n == 0:
-            continue
-        pos = int(y[sel, t].sum())
-        neg = n - pos
-        if pos == 0 or neg == 0:
-            continue
-        beta[t] = max(pos, neg) / n
+    n = valid.sum(axis=0)
+    pos = ((y == 1.0) & valid).sum(axis=0)
+    both = (pos > 0) & (pos < n)
+    beta = np.full(train.T, 0.5)
+    beta[both] = np.maximum(pos, n - pos)[both] / n[both]
     return ClassWeights(beta=beta)
 
 
-def _stratified_order(c: Cohort, rng: RngStream) -> tuple[list[int], list[int]]:
+def _stratified_order(c: Cohort, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     gen = rng.generator()
-    pos = [i for i, p in enumerate(c.patients) if p.is_positive]
-    neg = [i for i, p in enumerate(c.patients) if not p.is_positive]
-    pos = [pos[j] for j in gen.permutation(len(pos))]
-    neg = [neg[j] for j in gen.permutation(len(neg))]
-    return pos, neg
+    positive = c.y.any(axis=1)
+    pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
+    return pos[gen.permutation(len(pos))], neg[gen.permutation(len(neg))]
 
 
 def split_train_test(
@@ -205,38 +222,28 @@ def split_train_test(
     turns positive."""
     if not (0.0 < train_fraction < 1.0):
         raise DataError("train_fraction must be in (0, 1)")
-    if len(c.patients) < 2:
+    if len(c.ids) < 2:
         raise DataError("need at least 2 patients to split")
-    pos, neg = _stratified_order(c, rng)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for group in (pos, neg):
-        if not group:
-            continue
+    train_idx, test_idx = [], []
+    for group in _stratified_order(c, rng):
         n_tr = int(round(train_fraction * len(group)))
         if len(group) >= 2:
             n_tr = min(max(n_tr, 1), len(group) - 1)
-        train_idx.extend(group[:n_tr])
-        test_idx.extend(group[n_tr:])
-    return c.subset(sorted(train_idx)), c.subset(sorted(test_idx))
+        train_idx.append(group[:n_tr])
+        test_idx.append(group[n_tr:])
+    return tuple(c.subset(np.sort(np.concatenate(part))) for part in (train_idx, test_idx))
 
 
 def kfold(c: Cohort, k: int, rng: RngStream) -> list[tuple[Cohort, Cohort]]:
     """k patient-disjoint stratified folds; each patient validates exactly once."""
     if k < 2:
         raise DataError("k must be at least 2")
-    if k > len(c.patients):
-        raise DataError(f"k={k} exceeds patient count {len(c.patients)}")
-    pos, neg = _stratified_order(c, rng)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for j, idx in enumerate(pos + neg):
-        folds[j % k].append(idx)
-    pairs = []
-    for i in range(k):
-        val = sorted(folds[i])
-        train = sorted(idx for j in range(k) if j != i for idx in folds[j])
-        pairs.append((c.subset(train), c.subset(val)))
-    return pairs
+    if k > len(c.ids):
+        raise DataError(f"k={k} exceeds patient count {len(c.ids)}")
+    order = np.concatenate(_stratified_order(c, rng))
+    fold = np.arange(len(order)) % k
+    return [(c.subset(np.sort(order[fold != i])), c.subset(np.sort(order[fold == i])))
+            for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -328,7 +335,8 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
 
     std = float(signal.std())
     if cfg.signal_strength > 0 and std > 0:
-        scores = cfg.signal_strength * (signal - signal.mean()) / std
+        with np.errstate(over="ignore"):  # a huge strength saturates to +-inf
+            scores = cfg.signal_strength * (signal - signal.mean()) / std
     else:
         scores = np.zeros(n)
     if cfg.mdr_fraction <= 0.0:
@@ -343,44 +351,36 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
     env_idx = schema.group_indices("environment")
     care_idx = schema.group_indices("care")
 
-    patients = []
+    X, M = np.zeros((2, n, F, T))
+    y = np.zeros((n, T))
     for i in range(n):
         stay = int(stays[i])
-        X = np.zeros((F, T))
         for j, f in enumerate(pc_idx):
             if active[i, j]:
                 start = min(int(onset[i, j]), stay)
-                X[f, start - 1 : stay] = 1.0
+                X[i, f, start - 1 : stay] = 1.0
         for f in abx_idx:
             for _ in range(int(g_feat.integers(1, 3))):
                 start = int(g_feat.integers(1, stay + 1))
                 dur = int(g_feat.geometric(0.4))
-                X[f, start - 1 : min(start - 1 + dur, stay)] = 1.0
+                X[i, f, start - 1 : min(start - 1 + dur, stay)] = 1.0
         for f in env_idx:
-            X[f, :stay] = g_feat.poisson(3.0, size=stay).astype(np.float64)
+            X[i, f, :stay] = g_feat.poisson(3.0, size=stay).astype(np.float64)
         for f in care_idx:
             if schema.features[f].kind == "binary":
-                X[f, :stay] = (g_feat.random(stay) < 0.3).astype(np.float64)
+                X[i, f, :stay] = (g_feat.random(stay) < 0.3).astype(np.float64)
             else:
-                X[f, :stay] = np.round(g_feat.gamma(2.0, 1.5, size=stay), 3)
+                X[i, f, :stay] = np.round(g_feat.gamma(2.0, 1.5, size=stay), 3)
 
-        if positive[i]:
-            culture_day = int(min(culture_geom[i], stay))
-            y = build_labels(culture_day, stay, T)
-        else:
-            y = build_labels(None, stay, T)
+        y[i] = build_labels(int(min(culture_geom[i], stay)) if positive[i] else None, stay, T)
 
-        M = np.zeros((F, T))
-        M[:, :stay] = 1.0
+        M[i, :, :stay] = 1.0
         if cfg.missing_rate > 0:
             drop = g_mask.random((F, stay)) < cfg.missing_rate
-            M[:, :stay][drop] = 0.0
-        X = X * M  # missing cells store 0 by construction
-
-        patients.append(
-            PatientRecord(id=f"p{i:05d}", X=X, M=M, y=y, stay_length=stay)
-        )
-    return Cohort(schema=schema, patients=patients, T=T)
+            M[i, :, :stay][drop] = 0.0
+    X *= M  # missing cells store 0 by construction
+    ids = np.array([f"p{i:05d}" for i in range(n)], dtype=object)
+    return Cohort.from_blocks(schema, T, X, M, y, stays, ids)._validate()
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +524,4 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                          f"value {cells[seen[i]]!r} in {feature.name}")
         X[patient[seen], f, day[seen] - 1] = values
         M[patient[seen], f, day[seen] - 1] = 1.0
-    patients = [PatientRecord(id=columns[0][s], X=X[i], M=M[i], y=y[i],
-                              stay_length=int(stay[i])) for i, s in enumerate(start)]
-    return Cohort(schema=schema, patients=patients, T=T)
+    return Cohort.from_blocks(schema, T, X, M, y, stay, ids[start])._validate()

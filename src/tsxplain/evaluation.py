@@ -86,7 +86,7 @@ def evaluate(
     model: TrainedModel, test: Cohort, threshold: Optional[float] = None
 ) -> StepTable:
     """Per-step metric table over the patients valid at each step."""
-    if not test.patients:
+    if not test.ids.size:
         raise DataError("test cohort is empty")
     if threshold is None:
         threshold = model.threshold

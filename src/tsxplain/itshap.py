@@ -75,9 +75,9 @@ class ImportanceMatrix:
 def background_matrix(train: Cohort) -> np.ndarray:
     """Per-cell mean of observed values over the training cohort; cells never
     observed fall back to the feature's all-step mean, then 0."""
-    if not train.patients:
+    if not train.ids.size:
         raise DataError("training cohort is empty")
-    X, M, _, _ = train.stacked()
+    X, M = train.X, train.M
     num = (X * M).sum(axis=0)
     den = M.sum(axis=0)
     B = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -322,20 +322,20 @@ def aggregate_by_class(
     """Cellwise mean of per-patient importance matrices over the patients in
     scope, restricted to each patient's valid (observed, in-stay) cells."""
     picked = cohort.scope_indices(scope)
-    if len(explanations) != len(cohort.patients):
+    if len(explanations) != len(cohort.ids):
         raise DataError("explanations are not aligned with the cohort")
-    for expl, patient in zip(explanations, cohort.patients):
-        if expl.patient_id is not None and expl.patient_id != patient.id:
+    for expl, pid in zip(explanations, cohort.ids):
+        if expl.patient_id is not None and expl.patient_id != pid:
             raise DataError("explanations are not aligned with the cohort")
+    _, M, _, valid = cohort.stacked()
     F, T = explanations[picked[0]].W.shape
     total = np.zeros((F, T))
     counts = np.zeros((F, T), dtype=np.int64)
     base_total = np.zeros(T)
     base_counts = np.zeros(T, dtype=np.int64)
     for i in picked:
-        expl, patient = explanations[i], cohort.patients[i]
-        vsteps = patient.valid_steps()
-        valid_cells = (patient.M == 1.0) & vsteps[None, :]
+        expl, vsteps = explanations[i], valid[i]
+        valid_cells = (M[i] == 1.0) & vsteps[None, :]
         total[valid_cells] += expl.W[valid_cells]
         counts += valid_cells
         base_total[vsteps] += expl.base[vsteps]

@@ -455,7 +455,7 @@ def train(train_cohort: Cohort, cfg: TrainConfig, use_attention: bool) -> Traine
     """Grid-search hyperparameters with k-fold CV on the balanced loss, then
     retrain on the full training set with an internal 80/20 early-stopping
     split and restore the best-validation-epoch parameters."""
-    if not train_cohort.patients:
+    if not train_cohort.ids.size:
         raise DataError("training cohort is empty")
     points = cfg.grid_points()
     rng = RngStream(cfg.seed)

@@ -5,8 +5,9 @@ perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time and a full game played for every explained step, CMI screening that
 gathers each (feature, step) cell's samples patient by patient and codes
 joint alphabets with ``np.unique(axis=0)``, and central-difference
-gradients, average ranks found by walking tied runs, and a cohort CSV reader
-that groups rows by patient and parses one cell at a time."""
+gradients, average ranks found by walking tied runs, a cohort CSV reader
+that groups rows by patient and parses one cell at a time, and a synthetic
+cohort generator that builds one patient record at a time."""
 
 import csv
 import math
@@ -17,7 +18,16 @@ from typing import Callable
 import numpy as np
 
 from tsxplain.cmi import MIN_VALID_SAMPLES, discretize
-from tsxplain.data import DEFAULT_T, Cohort, PatientRecord, load_schema
+from tsxplain.data import (
+    DEFAULT_T,
+    Cohort,
+    PatientRecord,
+    SynthConfig,
+    _calibrate_intercept,
+    build_labels,
+    load_schema,
+    synth_schema,
+)
 from tsxplain.errors import ConfigError, DataError, SchemaError, ShapeError
 from tsxplain.itshap import (
     ImportanceMatrix,
@@ -487,4 +497,80 @@ def load_cohort_by_cell(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                 X[f, t - 1] = value
                 M[f, t - 1] = 1.0
         patients.append(PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay))
+    return Cohort(schema=schema, patients=patients, T=T)
+
+
+def synth_cohort_by_patient(cfg: SynthConfig) -> Cohort:
+    """``synth_cohort`` with each patient's arrays built as a record of its
+    own and the records stacked into a cohort afterwards."""
+    schema = synth_schema(cfg)
+    F, T, n = schema.F, cfg.T, cfg.n_patients
+    stream = RngStream(cfg.seed)
+    g_stay = stream.child(0).generator()
+    g_pc = stream.child(1).generator()
+    g_label = stream.child(2).generator()
+    g_feat = stream.child(3).generator()
+    g_mask = stream.child(4).generator()
+
+    stays = np.clip(1 + g_stay.poisson(max(cfg.mean_stay - 1.0, 0.0), size=n), 1, T)
+
+    n_pc = cfg.n_previous_culture
+    active = g_pc.random((n, n_pc)) < 0.35
+    onset = np.where(g_pc.random((n, n_pc)) < 0.7, 1, 2)
+    signal = active.sum(axis=1).astype(np.float64)
+
+    std = float(signal.std())
+    if cfg.signal_strength > 0 and std > 0:
+        scores = cfg.signal_strength * (signal - signal.mean()) / std
+    else:
+        scores = np.zeros(n)
+    if cfg.mdr_fraction <= 0.0:
+        p = np.zeros(n)
+    else:
+        p = sigmoid(scores + _calibrate_intercept(scores, cfg.mdr_fraction))
+    positive = g_label.random(n) < p
+    culture_geom = g_label.geometric(0.6, size=n)
+
+    pc_idx = schema.group_indices("previous_culture")
+    abx_idx = schema.group_indices("antibiotic")
+    env_idx = schema.group_indices("environment")
+    care_idx = schema.group_indices("care")
+
+    patients = []
+    for i in range(n):
+        stay = int(stays[i])
+        X = np.zeros((F, T))
+        for j, f in enumerate(pc_idx):
+            if active[i, j]:
+                start = min(int(onset[i, j]), stay)
+                X[f, start - 1 : stay] = 1.0
+        for f in abx_idx:
+            for _ in range(int(g_feat.integers(1, 3))):
+                start = int(g_feat.integers(1, stay + 1))
+                dur = int(g_feat.geometric(0.4))
+                X[f, start - 1 : min(start - 1 + dur, stay)] = 1.0
+        for f in env_idx:
+            X[f, :stay] = g_feat.poisson(3.0, size=stay).astype(np.float64)
+        for f in care_idx:
+            if schema.features[f].kind == "binary":
+                X[f, :stay] = (g_feat.random(stay) < 0.3).astype(np.float64)
+            else:
+                X[f, :stay] = np.round(g_feat.gamma(2.0, 1.5, size=stay), 3)
+
+        if positive[i]:
+            culture_day = int(min(culture_geom[i], stay))
+            y = build_labels(culture_day, stay, T)
+        else:
+            y = build_labels(None, stay, T)
+
+        M = np.zeros((F, T))
+        M[:, :stay] = 1.0
+        if cfg.missing_rate > 0:
+            drop = g_mask.random((F, stay)) < cfg.missing_rate
+            M[:, :stay][drop] = 0.0
+        X = X * M  # missing cells store 0 by construction
+
+        patients.append(
+            PatientRecord(id=f"p{i:05d}", X=X, M=M, y=y, stay_length=stay)
+        )
     return Cohort(schema=schema, patients=patients, T=T)

@@ -438,6 +438,16 @@ class TestReport:
         cfg_path, _ = write_config(tmp_path)
         assert run(["report", "--config", str(cfg_path)]) == 3
 
+    def test_report_after_one_seed_train_names_the_cause(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, {"seeds": [0]})
+        assert run(["synth", "--config", str(cfg_path)]) == 0
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 0
+        assert "need train over at least two seeds" in capsys.readouterr().out
+        assert not list((tmp_path / "out").glob("metrics_*.csv"))
+        assert run(["report", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "metrics need train over at least two seeds" in err
+
     def test_written_metrics_accepted(self, tmp_path):
         cfg_path, out = write_metrics(tmp_path)
         assert run(["report", "--config", str(cfg_path)]) == 0

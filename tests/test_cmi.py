@@ -18,7 +18,7 @@ from tsxplain.cmi import (
     mutual_information,
     select_features,
 )
-from tsxplain.data import Cohort, PatientRecord, SynthConfig, build_labels, synth_cohort
+from tsxplain.data import SCOPES, Cohort, PatientRecord, SynthConfig, build_labels, synth_cohort
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.numerics import RngStream
 
@@ -481,3 +481,14 @@ class TestScoresOracle:
         assert np.array_equal(scores.S, S)
         assert np.array_equal(scores.valid_counts, counts)
         assert scores.S.tobytes() == S.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("n,missing_rate,seed", ORACLE_COHORTS)
+    @pytest.mark.parametrize("conditioning", ["none", "greedy_selected"])
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_scope_matches_subset(self, n, missing_rate, seed, conditioning, scope):
+        c = masked_cohort(n, missing_rate, seed)
+        cfg = CmiConfig(conditioning=conditioning)
+        scores = cmi_feature_scores(c, cfg, scope)
+        S, counts = cmi_scores_by_cell(c.subset(c.scope_indices(scope)), cfg)
+        assert scores.S.tobytes() == S.tobytes()
+        assert np.array_equal(scores.valid_counts, counts)

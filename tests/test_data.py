@@ -27,7 +27,7 @@ from tsxplain.errors import ConfigError, DataError, SchemaError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
-from oracles import load_cohort_by_cell
+from oracles import load_cohort_by_cell, synth_cohort_by_patient
 
 
 class TestSchema:
@@ -100,27 +100,49 @@ class TestBuildLabels:
             build_labels(None, 0, 6)
 
 
+def _set(field, index, value):
+    """An edit of a patient record that writes ``value`` at ``index`` of
+    ``field``, or replaces the field when ``index`` is None."""
+    def edit(p):
+        if index is None:
+            setattr(p, field, value)
+        else:
+            getattr(p, field)[index] = value
+    return edit
+
+
+# Each rule that cohort validation enforces, as an edit that breaks it in a
+# record of toy_cohort([(None, 3), (None, 4), (None, 5)]) (F = 3, T = 6) and
+# the text of the DataError it raises.
+SHAPES = "X/M must be 3x6 and y of length 6"
+RULES = {
+    "X_shape": (_set("X", None, np.zeros((3, 7))), SHAPES),
+    "M_shape": (_set("M", None, np.zeros((2, 6))), SHAPES),
+    "y_shape": (_set("y", None, np.zeros(5)), SHAPES),
+    "stay_below_1": (_set("stay_length", None, 0), r"stay_length out of 1\.\.6"),
+    "stay_above_T": (_set("stay_length", None, 7), r"stay_length out of 1\.\.6"),
+    "mask_not_binary": (_set("M", (0, 0), 0.5), "mask must be binary"),
+    "nan_mask": (_set("M", (2, 1), np.nan), "mask must be binary"),
+    "mask_beyond_stay": (_set("M", (1, 5), 1.0), "mask set beyond stay"),
+    "label_not_binary": (_set("y", 1, 0.5), "labels must be 0 or 1"),
+    "label_beyond_stay": (_set("y", 5, 1.0), "label set beyond stay"),
+    "decreasing_labels": (_set("y", 0, 1.0), "labels must be non-decreasing"),
+    "nan_value": (_set("X", (1, 0), np.nan), "values must be finite"),
+    "inf_in_a_masked_cell": (_set("X", (0, 5), -np.inf), "values must be finite"),
+}
+
+
 class TestValidation:
-    def test_mask_beyond_stay_rejected(self):
-        c = toy_cohort([(None, 3)])
-        p = c.patients[0]
-        p.M[0, 4] = 1.0
-        with pytest.raises(DataError, match="beyond stay"):
-            p.validate(c.F, c.T)
-
-    def test_decreasing_labels_rejected(self):
-        c = toy_cohort([(2, 5)])
-        p = c.patients[0]
-        p.y[3] = 0.0
-        with pytest.raises(DataError, match="non-decreasing"):
-            p.validate(c.F, c.T)
-
-    def test_nonbinary_mask_rejected(self):
-        c = toy_cohort([(None, 3)])
-        p = c.patients[0]
-        p.M[0, 0] = 0.5
-        with pytest.raises(DataError, match="binary"):
-            p.validate(c.F, c.T)
+    @pytest.mark.parametrize("broken,named", [((1,), "p1"), ((0, 2), "p0")],
+                             ids=["p1", "p0_p2"])
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_rule_names_first_offender(self, rule, broken, named):
+        edit, message = RULES[rule]
+        records = toy_cohort([(None, 3), (None, 4), (None, 5)]).patients
+        for i in broken:
+            edit(records[i])
+        with pytest.raises(DataError, match=f"^patient {named}: {message}"):
+            Cohort(small_schema(), records, T=6)
 
 
 class TestScope:
@@ -146,19 +168,33 @@ class TestSubset:
     def test_records_schema_and_horizon(self):
         c = toy_cohort([(None, 3), (2, 4), (None, 5), (1, 6)], T=7)
         sub = c.subset([3, 0, 2])
+        assert sub.ids.tolist() == ["p3", "p0", "p2"]
+        for field in ("X", "M", "y", "stay", "ids"):
+            assert np.array_equal(getattr(sub, field), getattr(c, field)[[3, 0, 2]])
         assert [p.id for p in sub.patients] == ["p3", "p0", "p2"]
-        assert all(a is b for a, b in zip(sub.patients, [c.patients[i] for i in (3, 0, 2)]))
         assert sub.schema is c.schema
         assert sub.T == c.T == 7
 
     def test_patient_list_independent_of_parent(self):
         c = toy_cohort([(None, 3), (2, 4), (None, 5)])
+        before = c.X.copy()
         sub = c.subset(range(2))
-        extra = c.patients[2]
-        sub.patients.append(extra)
-        assert [p.id for p in c.patients] == ["p0", "p1", "p2"]
-        c.patients.pop(0)
-        assert [p.id for p in sub.patients] == ["p0", "p1", "p2"]
+        sub.X[0, 0, 0] = 7.0
+        sub.patients[1].X[1, 1] = 8.0  # a record is a view into its cohort
+        assert sub.X[1, 1, 1] == 8.0
+        assert np.array_equal(c.X, before)
+
+    def test_stacked_shares_memory_with_the_blocks(self):
+        c = toy_cohort([(None, 3), (2, 4), (None, 5)])
+        for cohort in (c, c.subset([2, 0])):
+            X, M, y, valid = cohort.stacked()
+            assert X is cohort.X and M is cohort.M and y is cohort.y
+            assert np.shares_memory(cohort.patients[0].X, X)
+            assert np.array_equal(valid, [p.valid_steps() for p in cohort.patients])
+
+    def test_empty_cohort_blocks(self):
+        X, M, y, valid = Cohort(small_schema(), [], T=6).stacked()
+        assert X.shape == M.shape == (0, 3, 6) and y.shape == valid.shape == (0, 6)
 
 
 class TestClassWeights:
@@ -280,6 +316,12 @@ class TestSynth:
         with pytest.raises(ConfigError):
             SynthConfig(**{"n_patients": 10, **field})
 
+    def test_huge_signal_strength_saturates(self):
+        # the planted scores overflow to +-inf, which the sigmoid maps to
+        # 0 and 1, instead of raising an overflow warning
+        c = synth_cohort(SynthConfig(n_patients=20, signal_strength=1e308, T=8))
+        assert 0 < c.y.any(axis=1).sum() < 20
+
     def test_zero_fraction_all_negative(self):
         c = synth_cohort(SynthConfig(n_patients=60, mdr_fraction=0.0, seed=5))
         assert not any(p.is_positive for p in c.patients)
@@ -289,6 +331,18 @@ class TestSynth:
         schema = synth_schema(cfg)
         for name in planted_features(cfg):
             assert schema.features[schema.index(name)].group == "previous_culture"
+
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.1, 0.4])
+    @pytest.mark.parametrize("T", [1, 8, 14])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_patient_oracle_bitwise(self, seed, T, missing_rate):
+        cfg = SynthConfig(n_patients=40, missing_rate=missing_rate, T=T, seed=seed)
+        got, want = synth_cohort(cfg), synth_cohort_by_patient(cfg)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert np.array_equal(got.stay, want.stay)
+        for a, b in zip(got.stacked(), want.stacked()):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     @given(st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)

@@ -6,13 +6,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from conftest import toy_cohort
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_traced_names_resolve():
-    """The tracer times a layer by swapping a module attribute by name, and a
-    name that no longer exists is only reported, so its metric reads 0."""
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracing  # dataclasses look their module up here
@@ -20,10 +22,29 @@ def test_traced_names_resolve():
         spec.loader.exec_module(tracing)
     finally:
         del sys.modules[spec.name]
+    return tracing
+
+
+def test_traced_names_resolve():
+    """The tracer times a layer by swapping a module attribute by name, and a
+    name that no longer exists is only reported, so its metric reads 0."""
+    tracing = _load_tracing()
     assert tracing.WRAPS
     missing = [f"{module}.{attr}" for module, attr, *_ in tracing.WRAPS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_cohort_interface_used_by_perfbench():
+    """The tracer counts cohort rows through ``patients``, and the kernel
+    probes cut their batch as a cohort of the first records."""
+    from tsxplain.data import Cohort
+
+    c = toy_cohort([(None, 3), (2, 4), (None, 6), (1, 5)])
+    assert _load_tracing()._cohort_rows(c) == 3 + 4 + 6 + 5
+    batch = Cohort(c.schema, c.patients[:2], c.T).stacked()
+    for got, want in zip(batch, c.stacked()):
+        assert np.array_equal(got, want[:2])
 
 
 def test_readme_config_loads(tmp_path):
