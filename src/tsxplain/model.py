@@ -13,7 +13,9 @@ Inputs are consumed through the validity mask: x_t is a column of X * M
 A computed from the masked input so stored values at masked cells can never
 influence the output). Training minimizes the per-step class-balanced binary
 cross entropy with exact reverse-mode gradients through time, plain SGD,
-5-fold CV over the hyperparameter grid, and early stopping.
+5-fold CV over the hyperparameter grid, and early stopping. The kernel takes
+optional leading model axes, so the CV fits of one hidden size train in
+lockstep as one stack, each with the bits it would have on its own.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class GRUParams:
 
     @property
     def n_features(self) -> int:
-        return self.W_z.shape[1] - self.hidden_size
+        return self.W_z.shape[-1] - self.hidden_size
 
 
 @dataclass
@@ -157,6 +159,20 @@ def attention_matrix(X: np.ndarray, a: AttentionParams) -> np.ndarray:
     return softmax_axis(a.W @ X + a.b[:, None], axis="cols")
 
 
+def _each_model(subscripts: str, a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` for each model stacked on the leading
+    axes of ``b`` (whose last three axes are n, F, T), into an array of
+    ``shape``. One call per model keeps each model's summation order, which
+    one einsum over the stack is not known to keep."""
+    lead = b.shape[:-3]
+    out = np.empty(shape)
+    for a_m, b_m, out_m in zip(a.reshape((-1,) + a.shape[len(lead):]),
+                               b.reshape((-1,) + b.shape[-3:]),
+                               out.reshape((-1,) + shape[len(lead):])):
+        np.einsum(subscripts, a_m, b_m, out=out_m)
+    return out
+
+
 def _forward_core(
     Xin: np.ndarray,
     gru: GRUParams,
@@ -164,17 +180,23 @@ def _forward_core(
     dropout_mask: Optional[np.ndarray] = None,
     want_cache: bool = False,
 ):
-    """Batched forward over prepared inputs Xin (n, F, T).
+    """Batched forward over prepared inputs Xin (..., n, F, T).
 
     Xin is the assembled model input (masked original data, or a coalition
-    perturbation); masking is the caller's responsibility. Returns yhat
-    (n, T) and, if requested, the activation cache for the backward pass.
+    perturbation); masking is the caller's responsibility. Leading axes, if
+    any, index models trained side by side: every parameter array then has
+    the same leading axes (``b_out`` one value per model), and each model's
+    slice of the result has the bits that a call on its slice alone gives.
+    Returns yhat (..., n, T) and, if requested, the activation cache for
+    the backward pass.
     """
-    n, F, T = Xin.shape
+    lead = Xin.shape[:-3]
+    n, F, T = Xin.shape[-3:]
     H = gru.hidden_size
     if att is not None:
-        pre = np.einsum("fg,ngt->nft", att.W, Xin) + att.b[None, :, None]
-        A = softmax(pre, axis=1)  # over features, as in attention_matrix
+        pre = _each_model("fg,ngt->nft", att.W, Xin, Xin.shape)
+        pre += att.b[..., None, :, None]
+        A = softmax(pre, axis=-2)  # over features, as in attention_matrix
         Xeff = Xin * A
     else:
         A = None
@@ -185,39 +207,42 @@ def _forward_core(
     # BLAS kernel, and so the bits, for hidden_size 1. The gate inputs [x, h]
     # and candidate inputs [r*h, x] are filled into buffers, kept for every
     # step when the backward pass needs them and reused otherwise, so wide
-    # inference batches allocate no (T, n, .) arrays.
-    W_zT, W_rT, W_hT = gru.W_z.T, gru.W_r.T, gru.W_h.T
-    zr_pre = np.empty((n, 2 * H))
-    b_zr = np.concatenate([gru.b_z, gru.b_r])
+    # inference batches allocate no (T, n, .) arrays. numpy runs a matmul
+    # over leading axes as one BLAS call per model on that model's strides,
+    # so stacking models leaves each one's bits as they are.
+    W_zT, W_rT, W_hT = (np.swapaxes(w, -1, -2) for w in (gru.W_z, gru.W_r, gru.W_h))
+    W_out = gru.W_out[..., None]
+    zr_pre = np.empty(lead + (n, 2 * H))
+    b_zr = np.concatenate([gru.b_z, gru.b_r], axis=-1)[..., None, :]
     steps = T if want_cache else 1
-    cat1 = np.empty((steps, n, F + H))
-    cat2 = np.empty((steps, n, H + F))
-    logits = np.empty((n, T))
-    h = np.zeros((n, H))
+    cat1 = np.empty((steps,) + lead + (n, F + H))
+    cat2 = np.empty((steps,) + lead + (n, H + F))
+    logits = np.empty(lead + (n, T))
+    h = np.zeros(lead + (n, H))
     zr_all, hc_all, h_out_all = [], [], []
     for t in range(T):
         c1 = cat1[t if want_cache else 0]
         c2 = cat2[t if want_cache else 0]
-        c1[:, :F] = Xeff[:, :, t]
-        c1[:, F:] = h
-        np.matmul(c1, W_zT, out=zr_pre[:, :H])
-        np.matmul(c1, W_rT, out=zr_pre[:, H:])
+        c1[..., :F] = Xeff[..., t]
+        c1[..., F:] = h
+        np.matmul(c1, W_zT, out=zr_pre[..., :H])
+        np.matmul(c1, W_rT, out=zr_pre[..., H:])
         zr_pre += b_zr
         zr = sigmoid(zr_pre)
-        np.multiply(zr[:, H:], h, out=c2[:, :H])
-        c2[:, H:] = c1[:, :F]
+        np.multiply(zr[..., H:], h, out=c2[..., :H])
+        c2[..., H:] = c1[..., :F]
         hc = c2 @ W_hT
-        hc += gru.b_h
+        hc += gru.b_h[..., None, :]
         np.tanh(hc, out=hc)
-        h_new = (1.0 - zr[:, :H]) * hc + zr[:, :H] * h
-        h_out = h_new if dropout_mask is None else h_new * dropout_mask[:, :, t]
-        logits[:, t] = h_out @ gru.W_out
+        h_new = (1.0 - zr[..., :H]) * hc + zr[..., :H] * h
+        h_out = h_new if dropout_mask is None else h_new * dropout_mask[..., t]
+        logits[..., t] = (h_out @ W_out)[..., 0]
         if want_cache:
             zr_all.append(zr)
             hc_all.append(hc)
             h_out_all.append(h_out)
         h = h_new
-    logits += gru.b_out
+    logits += np.asarray(gru.b_out)[..., None, None]
     yhat = sigmoid(logits)
     if want_cache:
         cache = {"cat1": cat1, "cat2": cat2, "zr": zr_all, "hc": hc_all,
@@ -274,9 +299,11 @@ def tbbce(
 def _loss_grad_yhat(
     yhat: np.ndarray, y: np.ndarray, valid: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
-    n_valid = int(valid.sum())
+    """d tbbce / d yhat for arrays (..., n, T), beta (..., T): each model on
+    the leading axes averages over its own valid pairs."""
+    n_valid = valid.sum(axis=(-2, -1))[..., None, None]
     p = np.clip(yhat, EPS, 1.0 - EPS)
-    b = beta[None, :]
+    b = beta[..., None, :]
     g = -(b * y / p - (1.0 - b) * (1.0 - y) / (1.0 - p)) / n_valid
     g = np.where(valid, g, 0.0)
     return g
@@ -291,34 +318,38 @@ def _backward_core(
     beta: np.ndarray,
     dropout_mask: Optional[np.ndarray] = None,
 ) -> dict:
+    """Gradients of each stacked model's loss, with the leading axes of
+    ``_forward_core``; ``b_out``'s gradient has the leading shape."""
     yhat = cache["yhat"]
-    n, T = yhat.shape
+    lead = yhat.shape[:-2]
+    n, T = yhat.shape[-2:]
     H = gru.hidden_size
     F = gru.n_features
 
     grads = {name: np.zeros_like(getattr(gru, name)) for name in GRU_ARRAYS[:-1]}
-    grads["b_out"] = 0.0
+    grads["b_out"] = np.zeros(lead)
     dyhat = _loss_grad_yhat(yhat, y, valid, beta)
     do_all = dyhat * yhat * (1.0 - yhat)
 
     cat1, cat2 = cache["cat1"], cache["cat2"]
+    W_out = gru.W_out[..., None, :]
     # the input gradient only feeds the attention parameters
-    dXeff = np.zeros((n, F, T)) if att is not None else None
-    dh_next = np.zeros((n, H))
+    dXeff = np.zeros(lead + (n, F, T)) if att is not None else None
+    dh_next = np.zeros(lead + (n, H))
     for t in range(T - 1, -1, -1):
-        do = do_all[:, t]
+        do = do_all[..., t]
         h_out = cache["h_out"][t]
-        grads["W_out"] += do @ h_out
-        grads["b_out"] += float(do.sum())
-        dh_from_out = do[:, None] * gru.W_out[None, :]
+        grads["W_out"] += (do[..., None, :] @ h_out)[..., 0, :]
+        grads["b_out"] += do.sum(axis=-1)
+        dh_from_out = do[..., None] * W_out
         if dropout_mask is not None:
-            dh_from_out = dh_from_out * dropout_mask[:, :, t]
+            dh_from_out = dh_from_out * dropout_mask[..., t]
         dh = dh_next + dh_from_out
 
         c1, c2 = cat1[t], cat2[t]
-        h_prev = c1[:, F:]
+        h_prev = c1[..., F:]
         zr = cache["zr"][t]
-        z, r = zr[:, :H], zr[:, H:]
+        z, r = zr[..., :H], zr[..., H:]
         hc = cache["hc"][t]
         omz = 1.0 - z
 
@@ -327,35 +358,36 @@ def _backward_core(
         dh_prev = dh * z
 
         dahc = dhc * (1.0 - hc * hc)
-        grads["W_h"] += dahc.T @ c2
-        grads["b_h"] += dahc.sum(axis=0)
+        grads["W_h"] += np.swapaxes(dahc, -1, -2) @ c2
+        grads["b_h"] += dahc.sum(axis=-2)
         dcat2 = dahc @ gru.W_h
-        drh = dcat2[:, :H]
+        drh = dcat2[..., :H]
         dr = drh * h_prev
         dh_prev += drh * r
 
         dar = dr * r * (1.0 - r)
         daz = dz * z * omz
-        grads["W_r"] += dar.T @ c1
-        grads["b_r"] += dar.sum(axis=0)
-        grads["W_z"] += daz.T @ c1
-        grads["b_z"] += daz.sum(axis=0)
+        grads["W_r"] += np.swapaxes(dar, -1, -2) @ c1
+        grads["b_r"] += dar.sum(axis=-2)
+        grads["W_z"] += np.swapaxes(daz, -1, -2) @ c1
+        grads["b_z"] += daz.sum(axis=-2)
         dcat1 = dar @ gru.W_r + daz @ gru.W_z
-        dh_prev += dcat1[:, F:]
+        dh_prev += dcat1[..., F:]
 
         if dXeff is not None:
-            np.add(dcat2[:, H:], dcat1[:, :F], out=dXeff[:, :, t])
+            np.add(dcat2[..., H:], dcat1[..., :F], out=dXeff[..., t])
         dh_next = dh_prev
 
     if att is not None:
         A = cache["A"]
         Xin = cache["Xin"]
-        dA = dXeff * Xin
-        # softmax over the feature axis, per (patient, step) column
-        inner = np.sum(dA * A, axis=1, keepdims=True)
-        dpre = A * (dA - inner)
-        grads["att_W"] = np.einsum("nft,ngt->fg", dpre, Xin)
-        grads["att_b"] = dpre.sum(axis=(0, 2))
+        # softmax over the feature axis, per (patient, step) column; dA and
+        # then dpre = A * (dA - inner) are formed in dXeff's buffer
+        dA = np.multiply(dXeff, Xin, out=dXeff)
+        inner = np.sum(dA * A, axis=-2, keepdims=True)
+        dpre = np.multiply(np.subtract(dA, inner, out=dA), A, out=dA)
+        grads["att_W"] = _each_model("nft,ngt->fg", dpre, Xin, lead + (F, F))
+        grads["att_b"] = dpre.sum(axis=(-3, -1))
     return grads
 
 
@@ -368,20 +400,41 @@ def backward(
     X, M, y, valid = batch
     Xin = np.asarray(X, dtype=np.float64) * np.asarray(M, dtype=np.float64)
     _, cache = _forward_core(Xin, model.gru, model.attention, want_cache=True)
-    return _backward_core(
+    grads = _backward_core(
         cache, model.gru, model.attention, np.asarray(y, dtype=np.float64),
         np.asarray(valid, dtype=bool), beta.beta,
     )
+    grads["b_out"] = float(grads["b_out"])
+    return grads
 
 
-def _apply_grads(gru: GRUParams, att: Optional[AttentionParams], grads: dict, lr: float):
-    for name in GRU_ARRAYS[:-1]:
-        param = getattr(gru, name)
-        param -= lr * grads[name]
-    gru.b_out -= lr * grads["b_out"]
+def _stack(models: list[tuple[GRUParams, Optional[AttentionParams]]]):
+    """One (gru, att) whose arrays hold the models on a leading axis."""
+    grus = [g for g, _ in models]
+    gru = GRUParams(*(np.array([getattr(g, name) for g in grus]) for name in GRU_ARRAYS),
+                    hidden_size=grus[0].hidden_size)
+    if models[0][1] is None:
+        return gru, None
+    return gru, AttentionParams(np.array([a.W for _, a in models]),
+                                np.array([a.b for _, a in models]))
+
+
+def _take(gru: GRUParams, att: Optional[AttentionParams], sel):
+    """The stacked models at ``sel``: one model for an integer (views, with
+    unstacked shapes), a stack of views for a slice, a copy for an array."""
+    taken = GRUParams(*(getattr(gru, name)[sel] for name in GRU_ARRAYS),
+                      hidden_size=gru.hidden_size)
+    return taken, None if att is None else AttentionParams(att.W[sel], att.b[sel])
+
+
+def _apply_grads(gru: GRUParams, att: Optional[AttentionParams], grads: dict,
+                 lr: np.ndarray, sel) -> None:
+    """One SGD step of the stacked models at ``sel``, each at its rate in lr."""
+    pairs = [(getattr(gru, name), grads[name]) for name in GRU_ARRAYS]
     if att is not None:
-        att.W -= lr * grads["att_W"]
-        att.b -= lr * grads["att_b"]
+        pairs += [(att.W, grads["att_W"]), (att.b, grads["att_b"])]
+    for param, grad in pairs:
+        param[sel] -= lr.reshape(lr.shape + (1,) * (grad.ndim - 1)) * grad
 
 
 def _epoch_loss(Xin, y, valid, gru, att, beta) -> float:
@@ -389,66 +442,127 @@ def _epoch_loss(Xin, y, valid, gru, att, beta) -> float:
     return tbbce(yhat, y, valid, beta)
 
 
+class _Fit:
+    """One training run: its masked inputs, labels, class weights and
+    hyperparameters, its random streams (init, shuffle and dropout are
+    children 0, 1 and 2 of ``rng``) and its early-stopping state. ``label``
+    names the run in errors; only a run with ``record_train`` computes its
+    training loss after every epoch."""
+
+    def __init__(self, train_c: Cohort, val_c: Cohort, lr: float, dropout: float, H: int,
+                 rng: RngStream, label: str, record_train: bool = False):
+        _, _, self.y, self.valid = train_c.stacked()
+        self.Xin = train_c.X * train_c.M
+        _, _, y_va, valid_va = val_c.stacked()
+        self.val = (val_c.X * val_c.M, y_va, valid_va)
+        self.beta = compute_class_weights(train_c)
+        self.lr, self.dropout, self.H = lr, dropout, H
+        self.rng, self.label, self.record_train = rng, label, record_train
+        self.shuffle = rng.child(1).generator()
+        self.drop = rng.child(2).generator()
+        self.history = {"train_loss": [], "val_loss": []} if record_train else {"val_loss": []}
+        self.best = None  # (val_loss, gru copy, att copy, epoch)
+        self.since_best = 0
+
+    def dropout_mask(self, rows: int, T: int) -> np.ndarray:
+        """The inverted-dropout keep mask of one batch; all ones at rate 0,
+        where nothing is drawn."""
+        if self.dropout == 0.0:
+            return np.ones((rows, self.H, T))
+        return (self.drop.random((rows, self.H, T)) >= self.dropout) / (1.0 - self.dropout)
+
+
 def _fit(
-    train_c: Cohort,
-    val_c: Cohort,
-    lr: float,
-    dropout: float,
-    H: int,
-    cfg: TrainConfig,
-    rng: RngStream,
-    use_attention: bool,
-) -> tuple[GRUParams, Optional[AttentionParams], dict]:
-    F = train_c.F
-    gru, att = init_params(F, H, rng.child(0), use_attention)
-    beta = compute_class_weights(train_c)
-    Xtr, Mtr, ytr, vtr = train_c.stacked()
-    Xin_tr = Xtr * Mtr
-    Xva, Mva, yva, vva = val_c.stacked()
-    Xin_va = Xva * Mva
-    n = Xin_tr.shape[0]
-    T = train_c.T
+    fits: list[_Fit], cfg: TrainConfig, use_attention: bool
+) -> list[tuple[GRUParams, Optional[AttentionParams], dict]]:
+    """Train runs of one hidden size in lockstep, each with its own data,
+    step size, dropout rate, random streams and early stopping, and return
+    each run's best-validation-epoch parameters and history.
 
-    shuffle_gen = rng.child(1).generator()
-    drop_gen = rng.child(2).generator()
-
-    best = None  # (val_loss, gru copy, att copy, epoch)
-    history = {"train_loss": [], "val_loss": []}
-    since_best = 0
+    The live runs' parameters are stacked on a leading axis. Within an epoch
+    batch k of every live run is stepped together, one kernel call per
+    batch row count, since runs with fewer rows have smaller last batches.
+    A run that stops early leaves the stack. Each run's slice has the bits
+    it would have if the run were trained on its own.
+    """
+    H = fits[0].H
+    T = fits[0].y.shape[1]
+    gru, att = _stack([init_params(f.Xin.shape[1], H, f.rng.child(0), use_attention)
+                       for f in fits])
+    lrs = np.array([f.lr for f in fits])
+    betas = np.array([f.beta.beta for f in fits])
+    live = list(fits)  # the run at each stack position
     for epoch in range(cfg.max_epochs):
-        order = shuffle_gen.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            Xb, yb, vb = Xin_tr[idx], ytr[idx], vtr[idx]
-            if dropout > 0.0:
-                keep = (drop_gen.random((len(idx), H, T)) >= dropout) / (1.0 - dropout)
+        orders = [f.shuffle.permutation(len(f.Xin)) for f in live]
+        for start in range(0, max(map(len, orders)), cfg.batch_size):
+            batches = [order[start : start + cfg.batch_size] for order in orders]
+            for rows in sorted({len(idx) for idx in batches} - {0}):
+                pos = [j for j, idx in enumerate(batches) if len(idx) == rows]
+                sel = slice(None) if len(pos) == len(live) else np.array(pos)
+                runs = [(live[j], batches[j]) for j in pos]
+                keep = (np.array([f.dropout_mask(rows, T) for f, _ in runs])
+                        if any(f.dropout > 0.0 for f, _ in runs) else None)
+                g, a = _take(gru, att, sel)
+                Xb = np.array([f.Xin[idx] for f, idx in runs])
+                # no cache outlives its step: a stack's cache is G models large
+                grads = _backward_core(
+                    _forward_core(Xb, g, a, dropout_mask=keep, want_cache=True)[1], g, a,
+                    np.array([f.y[idx] for f, idx in runs]),
+                    np.array([f.valid[idx] for f, idx in runs]), betas[sel],
+                    dropout_mask=keep)
+                _apply_grads(gru, att, grads, lrs[sel], sel)
+
+        stay = []
+        for j, f in enumerate(live):
+            g, a = _take(gru, att, j)
+            losses = {}
+            if f.record_train:
+                losses["train_loss"] = _epoch_loss(f.Xin, f.y, f.valid, g, a, f.beta)
+            losses["val_loss"] = val_loss = _epoch_loss(*f.val, g, a, f.beta)
+            if not all(map(math.isfinite, losses.values())):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch + 1} of the {f.label}: "
+                    + ", ".join(f"{key} {value}" for key, value in losses.items())
+                )
+            for key, value in losses.items():
+                f.history[key].append(value)
+            if f.best is None or val_loss < f.best[0]:
+                f.best = (val_loss, *copy.deepcopy((g, a)), epoch)
+                f.since_best = 0
             else:
-                keep = None
-            _, cache = _forward_core(Xb, gru, att, dropout_mask=keep, want_cache=True)
-            grads = _backward_core(cache, gru, att, yb, vb, beta.beta, dropout_mask=keep)
-            _apply_grads(gru, att, grads, lr)
-
-        train_loss = _epoch_loss(Xin_tr, ytr, vtr, gru, att, beta)
-        val_loss = _epoch_loss(Xin_va, yva, vva, gru, att, beta)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise FloatingPointError(
-                f"non-finite loss at epoch {epoch + 1}: train {train_loss}, "
-                f"validation {val_loss}"
-            )
-        history["train_loss"].append(train_loss)
-        history["val_loss"].append(val_loss)
-
-        if best is None or val_loss < best[0]:
-            best = (val_loss, copy.deepcopy(gru), copy.deepcopy(att), epoch)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
+                f.since_best += 1
+            if f.since_best <= cfg.patience:
+                stay.append(j)
+        if len(stay) < len(live):
+            if not stay:
                 break
+            gru, att = _take(gru, att, np.array(stay))
+            lrs, betas = lrs[stay], betas[stay]
+            live = [live[j] for j in stay]
 
-    history["best_epoch"] = best[3]
-    history["best_val_loss"] = best[0]
-    return best[1], best[2], history
+    results = []
+    for f in fits:
+        val_loss, g, a, epoch = f.best
+        g.b_out = float(g.b_out)
+        results.append((g, a, {**f.history, "best_epoch": epoch, "best_val_loss": val_loss}))
+    return results
+
+
+def _cv_select(train_cohort: Cohort, points: list, cfg: TrainConfig, rng: RngStream,
+               use_attention: bool) -> tuple[float, float, int]:
+    """The grid point with the lowest mean best validation loss over the
+    folds (the first on ties). The CV fits of one hidden size train in
+    lockstep and record only validation losses."""
+    cv = {(gi, fi): _Fit(ftrain, fval, lr, dr, H, rng.child(2, gi, fi),
+                         f"CV fit of grid point {gi + 1}, fold {fi + 1}")
+          for gi, (lr, dr, H) in enumerate(points)
+          for fi, (ftrain, fval) in enumerate(kfold(train_cohort, cfg.cv_folds,
+                                                    rng.child(1, gi)))}
+    for H in dict.fromkeys(H for _, _, H in points):
+        _fit([f for f in cv.values() if f.H == H], cfg, use_attention)
+    means = [float(np.mean([cv[gi, fi].best[0] for fi in range(cfg.cv_folds)]))
+             for gi in range(len(points))]
+    return points[means.index(min(means))]
 
 
 def train(train_cohort: Cohort, cfg: TrainConfig, use_attention: bool) -> TrainedModel:
@@ -459,30 +573,14 @@ def train(train_cohort: Cohort, cfg: TrainConfig, use_attention: bool) -> Traine
         raise DataError("training cohort is empty")
     points = cfg.grid_points()
     rng = RngStream(cfg.seed)
-
-    best_point = None
-    best_score = None
-    if len(points) == 1:
-        best_point = points[0]
-    else:
-        for gi, (lr, dr, H) in enumerate(points):
-            folds = kfold(train_cohort, cfg.cv_folds, rng.child(1, gi))
-            scores = []
-            for fi, (ftrain, fval) in enumerate(folds):
-                _, _, hist = _fit(
-                    ftrain, fval, lr, dr, H, cfg, rng.child(2, gi, fi), use_attention
-                )
-                scores.append(hist["best_val_loss"])
-            mean_score = float(np.mean(scores))
-            if best_score is None or mean_score < best_score:
-                best_score = mean_score
-                best_point = (lr, dr, H)
+    best_point = points[0]
+    if len(points) > 1:
+        best_point = _cv_select(train_cohort, points, cfg, rng, use_attention)
 
     lr, dr, H = best_point
     inner_train, inner_val = split_train_test(train_cohort, 0.8, rng.child(3))
-    gru, att, history = _fit(
-        inner_train, inner_val, lr, dr, H, cfg, rng.child(4), use_attention
-    )
+    final = _Fit(inner_train, inner_val, lr, dr, H, rng.child(4), "final fit", record_train=True)
+    [(gru, att, history)] = _fit([final], cfg, use_attention)
     history["selected"] = {"learning_rate": lr, "dropout_rate": dr, "hidden_size": H}
     return TrainedModel(
         gru=gru,

@@ -6,9 +6,11 @@ a time and a full game played for every explained step, CMI screening that
 gathers each (feature, step) cell's samples patient by patient and codes
 joint alphabets with ``np.unique(axis=0)``, and central-difference
 gradients, average ranks found by walking tied runs, a cohort CSV reader
-that groups rows by patient and parses one cell at a time, and a synthetic
-cohort generator that builds one patient record at a time."""
+that groups rows by patient and parses one cell at a time, a synthetic
+cohort generator that builds one patient record at a time, and a training
+loop that runs each grid point × fold fit on its own."""
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -25,7 +27,10 @@ from tsxplain.data import (
     SynthConfig,
     _calibrate_intercept,
     build_labels,
+    compute_class_weights,
+    kfold,
     load_schema,
+    split_train_test,
     synth_schema,
 )
 from tsxplain.errors import ConfigError, DataError, SchemaError, ShapeError
@@ -36,7 +41,18 @@ from tsxplain.itshap import (
     shap_kernel_weight,
     timestep_players,
 )
-from tsxplain.model import _loss_grad_yhat, GRUParams, forward_prepared
+from tsxplain.model import (
+    GRU_ARRAYS,
+    GRUParams,
+    TrainedModel,
+    _backward_core,
+    _forward_core,
+    _loss_grad_yhat,
+    forward_prepared,
+    init_params,
+    schema_fingerprint,
+    tbbce,
+)
 from tsxplain.numerics import RngStream, sigmoid
 
 
@@ -574,3 +590,104 @@ def synth_cohort_by_patient(cfg: SynthConfig) -> Cohort:
             PatientRecord(id=f"p{i:05d}", X=X, M=M, y=y, stay_length=stay)
         )
     return Cohort(schema=schema, patients=patients, T=T)
+
+
+def fit_sequential(train_c, val_c, lr, dropout, H, cfg, rng, use_attention):
+    """One training run on its own: every batch through the unstacked
+    kernel, and a training-loss forward over the whole training set after
+    every epoch. Returns the best-validation-epoch (gru, att) and the
+    history."""
+    F = train_c.F
+    gru, att = init_params(F, H, rng.child(0), use_attention)
+    beta = compute_class_weights(train_c)
+    Xtr, Mtr, ytr, vtr = train_c.stacked()
+    Xin_tr = Xtr * Mtr
+    Xva, Mva, yva, vva = val_c.stacked()
+    Xin_va = Xva * Mva
+    n = Xin_tr.shape[0]
+    T = train_c.T
+
+    shuffle_gen = rng.child(1).generator()
+    drop_gen = rng.child(2).generator()
+
+    best = None  # (val_loss, gru copy, att copy, epoch)
+    history = {"train_loss": [], "val_loss": []}
+    since_best = 0
+    for epoch in range(cfg.max_epochs):
+        order = shuffle_gen.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            Xb, yb, vb = Xin_tr[idx], ytr[idx], vtr[idx]
+            if dropout > 0.0:
+                keep = (drop_gen.random((len(idx), H, T)) >= dropout) / (1.0 - dropout)
+            else:
+                keep = None
+            _, cache = _forward_core(Xb, gru, att, dropout_mask=keep, want_cache=True)
+            grads = _backward_core(cache, gru, att, yb, vb, beta.beta, dropout_mask=keep)
+            for name in GRU_ARRAYS[:-1]:
+                param = getattr(gru, name)
+                param -= lr * grads[name]
+            gru.b_out -= lr * float(grads["b_out"])
+            if att is not None:
+                att.W -= lr * grads["att_W"]
+                att.b -= lr * grads["att_b"]
+
+        train_loss = tbbce(_forward_core(Xin_tr, gru, att), ytr, vtr, beta)
+        val_loss = tbbce(_forward_core(Xin_va, gru, att), yva, vva, beta)
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise FloatingPointError(
+                f"non-finite loss at epoch {epoch + 1}: train {train_loss}, "
+                f"validation {val_loss}"
+            )
+        history["train_loss"].append(train_loss)
+        history["val_loss"].append(val_loss)
+
+        if best is None or val_loss < best[0]:
+            best = (val_loss, copy.deepcopy(gru), copy.deepcopy(att), epoch)
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > cfg.patience:
+                break
+
+    history["best_epoch"] = best[3]
+    history["best_val_loss"] = best[0]
+    return best[1], best[2], history
+
+
+def train_sequential(train_cohort, cfg, use_attention):
+    """``train`` with every grid point × fold CV fit and the final fit run
+    one after another through ``fit_sequential``."""
+    points = cfg.grid_points()
+    rng = RngStream(cfg.seed)
+    best_point = None
+    best_score = None
+    if len(points) == 1:
+        best_point = points[0]
+    else:
+        for gi, (lr, dr, H) in enumerate(points):
+            folds = kfold(train_cohort, cfg.cv_folds, rng.child(1, gi))
+            scores = []
+            for fi, (ftrain, fval) in enumerate(folds):
+                _, _, hist = fit_sequential(
+                    ftrain, fval, lr, dr, H, cfg, rng.child(2, gi, fi), use_attention
+                )
+                scores.append(hist["best_val_loss"])
+            mean_score = float(np.mean(scores))
+            if best_score is None or mean_score < best_score:
+                best_score = mean_score
+                best_point = (lr, dr, H)
+
+    lr, dr, H = best_point
+    inner_train, inner_val = split_train_test(train_cohort, 0.8, rng.child(3))
+    gru, att, history = fit_sequential(
+        inner_train, inner_val, lr, dr, H, cfg, rng.child(4), use_attention
+    )
+    history["selected"] = {"learning_rate": lr, "dropout_rate": dr, "hidden_size": H}
+    return TrainedModel(
+        gru=gru,
+        attention=att,
+        schema_fingerprint=schema_fingerprint(train_cohort.schema),
+        history=history,
+        threshold=cfg.threshold,
+    )

@@ -153,6 +153,29 @@ class TestTrain:
         assert "non-finite loss" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
 
+    def test_non_finite_loss_in_one_cv_fit_names_it(self, tmp_path, capsys, monkeypatch):
+        """Two grid points × two folds make one stack of four CV fits; only
+        the third fit's first validation loss is made non-finite."""
+        calls = []
+        epoch_loss = model._epoch_loss
+
+        def third_is_nan(*args):
+            calls.append(args)
+            return float("nan") if len(calls) == 3 else epoch_loss(*args)
+
+        monkeypatch.setattr(model, "_epoch_loss", third_is_nan)
+        cfg_path, _ = write_config(
+            tmp_path, {"train": {"cv_folds": 2, "grid": {"learning_rates": [0.5, 1.0]}}})
+        run(["synth", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 4
+        err = capsys.readouterr().err
+        assert ("non-finite loss at epoch 1 of the CV fit of grid point 2, fold 1: "
+                "val_loss nan") in err
+        assert "train_loss" not in err
+        assert len(calls) == 3
+        assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     @pytest.mark.parametrize("where", ["learning_rate", "grid"])
     def test_bad_learning_rate_exit_2(self, tmp_path, capsys, where, value):

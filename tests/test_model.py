@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from tsxplain import model as model_mod
 from tsxplain.data import ClassWeights, compute_class_weights, synth_cohort, SynthConfig
 from tsxplain.errors import ConfigError, DataError, ShapeError
 from tsxplain.model import (
+    GRU_ARRAYS,
     _backward_core,
+    _fit,
     _forward_core,
     AttentionParams,
     GRUParams,
@@ -24,7 +27,8 @@ from tsxplain.model import (
 from tsxplain.numerics import RngStream, sigmoid
 
 from conftest import small_schema, toy_cohort
-from oracles import gru_bptt, gru_step
+import oracles
+from oracles import fit_sequential, gru_bptt, gru_step, train_sequential
 
 
 def make_model(F=3, H=4, seed=0, use_attention=False, schema=None) -> TrainedModel:
@@ -356,6 +360,66 @@ class TestBackward:
             for k in want:
                 assert np.array_equal(np.asarray(got[k]), np.asarray(want[k])), k
 
+    @pytest.mark.parametrize("use_att", [False, True])
+    @pytest.mark.parametrize("H", [1, 8])
+    @pytest.mark.parametrize("n", [1, 41, 64])
+    @pytest.mark.parametrize("G", [1, 3])
+    def test_stacked_kernel_equals_per_model_calls(self, use_att, H, n, G):
+        """Models stacked on a leading axis get, slice for slice, the bits of
+        one call per model, with and without dropout masks."""
+        F, T = 5, 6
+        models = [make_model(F=F, H=H, seed=40 + g, use_attention=use_att) for g in range(G)]
+        for g, m in enumerate(models):  # nonzero biases, so every term is exercised
+            gen = RngStream(50 + g).generator()
+            m.gru.b_z, m.gru.b_r, m.gru.b_h = gen.normal(size=(3, H))
+            m.gru.b_out = float(gen.normal())
+        gru = GRUParams(*(np.array([getattr(m.gru, k) for m in models]) for k in GRU_ARRAYS),
+                        hidden_size=H)
+        att = (AttentionParams(np.array([m.attention.W for m in models]),
+                               np.array([m.attention.b for m in models])) if use_att else None)
+        gen = RngStream(41).generator()
+        Xin = gen.normal(size=(G, n, F, T)) * (gen.random((G, n, F, T)) < 0.8)
+        y = (gen.random((G, n, T)) < 0.4).astype(float)
+        valid = gen.random((G, n, T)) < 0.9
+        valid[:, 0, 0] = True
+        beta = gen.uniform(0.5, 0.9, (G, T))
+        keep = (gen.random((G, n, H, T)) >= 0.3) / 0.7
+        for mask in (None, keep):
+            yhat, cache = _forward_core(Xin, gru, att, dropout_mask=mask, want_cache=True)
+            grads = _backward_core(cache, gru, att, y, valid, beta, dropout_mask=mask)
+            plain = _forward_core(Xin, gru, att, dropout_mask=mask)
+            for g, m in enumerate(models):
+                mask_g = None if mask is None else mask[g]
+                want_yhat, want_cache = _forward_core(Xin[g], m.gru, m.attention,
+                                                      dropout_mask=mask_g, want_cache=True)
+                want = _backward_core(want_cache, m.gru, m.attention, y[g], valid[g], beta[g],
+                                      dropout_mask=mask_g)
+                assert np.array_equal(yhat[g], want_yhat)
+                assert np.array_equal(plain[g], want_yhat)
+                assert sorted(grads) == sorted(want)
+                for k in want:
+                    assert np.array_equal(grads[k][g], want[k]), k
+
+    def test_ones_mask_equals_no_mask(self):
+        """A stack mixing dropout and no dropout gives the latter a mask of
+        exact ones, which must leave its bits as no mask does."""
+        model = make_model(F=4, H=3, seed=23, use_attention=True)
+        gen = RngStream(24).generator()
+        Xin = gen.normal(size=(7, 4, 5))
+        y = (gen.random((7, 5)) < 0.4).astype(float)
+        valid = np.ones((7, 5), dtype=bool)
+        beta = gen.uniform(0.5, 0.9, 5)
+        got, want = [], []
+        for mask, out in ((np.ones((7, 3, 5)), got), (None, want)):
+            yhat, cache = _forward_core(Xin, model.gru, model.attention, dropout_mask=mask,
+                                        want_cache=True)
+            out.append(yhat)
+            out.append(_backward_core(cache, model.gru, model.attention, y, valid, beta,
+                                      dropout_mask=mask))
+        assert np.array_equal(got[0], want[0])
+        for k in want[1]:
+            assert np.array_equal(got[1][k], want[1][k]), k
+
     def test_masked_values_do_not_move_gradients(self):
         cohort = toy_cohort([(1, 4), (None, 5)], F=3, T=6, seed=4)
         model = make_model(F=3, H=3, seed=2, use_attention=True)
@@ -423,6 +487,68 @@ class TestTrain:
         sel = model.history["selected"]
         assert sel["learning_rate"] in (0.1, 0.5)
         assert sel["hidden_size"] == 4
+
+    @pytest.mark.parametrize("use_att", [False, True])
+    @pytest.mark.parametrize("folds", [2, 3])
+    @pytest.mark.parametrize("patience", [0, 1, 2])
+    def test_lockstep_matches_sequential_oracle(self, tmp_path, monkeypatch, use_att, folds,
+                                                patience):
+        """CV fits stepped in lockstep keep the bits of fits run one at a
+        time: fold scores, best epochs and parameters, the selected grid
+        point and the checkpoint. The grid makes two stacks (hidden sizes 2
+        and 4) mixing dropout 0 and 0.3, the batch size divides no fold
+        size, and the patience makes fits leave their stack at different
+        epochs."""
+        cohort = synth_cohort(SynthConfig(n_patients=29, mdr_fraction=0.3, signal_strength=6.0,
+                                          T=5, seed=3))
+        cfg = TrainConfig(max_epochs=5, patience=patience, batch_size=6, cv_folds=folds, seed=1,
+                          grid_learning_rates=(0.5, 2.0), grid_dropout_rates=(0.0, 0.3),
+                          grid_hidden_sizes=(2, 4))
+        # each run's results, keyed by its random stream: (2, gi, fi) for a
+        # CV fit, (4,) for the final fit
+        got, want = {}, {}
+
+        def lockstep(fits, *args):
+            results = _fit(fits, *args)
+            got.update((f.rng.path, result) for f, result in zip(fits, results))
+            return results
+
+        def sequential(ftrain, fval, lr, dr, H, cfg, rng, use_attention):
+            if rng.path != (4,):
+                assert len(ftrain.ids) % cfg.batch_size
+            want[rng.path] = fit_sequential(ftrain, fval, lr, dr, H, cfg, rng, use_attention)
+            return want[rng.path]
+
+        monkeypatch.setattr(model_mod, "_fit", lockstep)
+        monkeypatch.setattr(oracles, "fit_sequential", sequential)
+        trained = train(cohort, cfg, use_att)
+        expected = train_sequential(cohort, cfg, use_att)
+
+        assert sorted(got) == sorted(want)
+        assert len(got) == 8 * folds + 1
+        for path, (want_gru, want_att, want_hist) in want.items():
+            gru, att, hist = got[path]
+            assert hist["best_val_loss"] == want_hist["best_val_loss"]
+            assert hist["best_epoch"] == want_hist["best_epoch"]
+            assert hist["val_loss"] == want_hist["val_loss"]
+            assert ("train_loss" in hist) == (path == (4,))
+            for k in GRU_ARRAYS:
+                assert np.array_equal(getattr(gru, k), getattr(want_gru, k)), k
+            if use_att:
+                assert np.array_equal(att.W, want_att.W) and np.array_equal(att.b, want_att.b)
+        assert len({len(hist["val_loss"]) for _, _, hist in want.values()}) > 1
+
+        assert trained.history == expected.history
+        save_model(trained, tmp_path / "lockstep.txt")
+        save_model(expected, tmp_path / "sequential.txt")
+        assert (tmp_path / "lockstep.txt").read_bytes() == (tmp_path / "sequential.txt").read_bytes()
+
+    def test_non_finite_final_fit_is_named(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "_epoch_loss", lambda *args: float("nan"))
+        cohort = toy_cohort([(1, 4)] * 4 + [(None, 4)] * 6, seed=6)
+        with pytest.raises(FloatingPointError,
+                           match="epoch 1 of the final fit: train_loss nan, val_loss nan"):
+            train(cohort, TrainConfig(max_epochs=2, batch_size=4), use_attention=False)
 
     def test_empty_cohort(self):
         with pytest.raises(DataError):
