@@ -235,7 +235,7 @@ def cmd_explain(s: Settings, args) -> int:
     if method == "cmi":
         scores = cmi_mod.cmi_feature_scores(cohort, s.cmi, scope)
         selection = None
-        if (s.cmi.top_k is None) != (s.cmi.threshold is None):
+        if s.cmi.top_k is not None or s.cmi.threshold is not None:
             selection = cmi_mod.select_features(scores, s.cmi)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"importance_cmi_{scope}.csv"
@@ -255,39 +255,30 @@ def cmd_explain(s: Settings, args) -> int:
     if method == "attention":
         if trained.attention is None:
             raise ConfigError("attention explanation requested on a no-attention checkpoint")
-        maps = [
-            itshap_mod.ImportanceMatrix(
-                W=model_mod.attention_matrix(p.X * p.M, trained.attention),
-                base=np.zeros(cohort.T), method="attention", patient_id=p.id,
-            )
-            for p in cohort.patients
-        ]
-        agg = itshap_mod.aggregate_by_class(maps, cohort, scope)
-        path = out / f"importance_attention_{scope}.csv"
-        itshap_mod.save_aggregate(agg, names, path)
-        save_heatmap_pgm(agg.W, out / f"importance_attention_{scope}.pgm")
-        print(f"wrote {path}")
-        return 0
-
-    train_c, test_c = data_mod.split_train_test(
-        cohort, s.train_fraction, RngStream(s.seeds[0]).child(100)
-    )
-    B = itshap_mod.background_matrix(train_c)
-    explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))
-    explanations = []
-    for p in explained.patients:
-        steps = [p.stay_length] if s.steps == "final" else None
-        explanations.append(
-            itshap_mod.explain_patient(
-                trained, p.X, p.M, B, s.itshap,
-                stay_length=p.stay_length, steps=steps, patient_id=p.id,
-            )
+        explained = cohort
+        W = model_mod.attention_matrix(cohort.X * cohort.M, trained.attention)
+    else:
+        train_c, test_c = data_mod.split_train_test(
+            cohort, s.train_fraction, RngStream(s.seeds[0]).child(100)
         )
-    agg = itshap_mod.aggregate_by_class(explanations, explained, scope)
-    path = out / f"importance_itshap_{scope}.csv"
-    itshap_mod.save_aggregate(agg, names, path)
-    save_heatmap_pgm(agg.W, out / f"importance_itshap_{scope}.pgm")
-    itshap_mod.save_attributions(explanations, names, out / f"attributions_itshap_{scope}.csv")
+        B = itshap_mod.background_matrix(train_c)
+        explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))
+        explained.scope_indices(scope)  # an empty scope fails before any game is played
+        W, base = np.zeros(explained.X.shape), np.zeros(explained.y.shape)
+        for i, stay in enumerate(explained.stay.tolist()):
+            expl = itshap_mod.explain_patient(
+                trained, explained.X[i], explained.M[i], B, s.itshap,
+                stay_length=stay, steps=[stay] if s.steps == "final" else None,
+            )
+            W[i], base[i] = expl.W, expl.base
+
+    mean, counts = itshap_mod.aggregate_by_class(W, explained, scope)
+    path = out / f"importance_{method}_{scope}.csv"
+    itshap_mod.save_aggregate(mean, counts, scope, names, path)
+    save_heatmap_pgm(mean, out / f"importance_{method}_{scope}.pgm")
+    if method == "itshap":
+        itshap_mod.save_attributions(explained.ids, W, base, expl.method, names,
+                                     out / f"attributions_itshap_{scope}.csv")
     print(f"wrote {path}")
     return 0
 

@@ -41,6 +41,8 @@ class CmiConfig:
             raise ConfigError(
                 f"threshold must be a finite number or null, got {self.threshold!r}"
             )
+        if self.top_k is not None and self.threshold is not None:
+            raise ConfigError("set at most one of top_k and threshold")
         if self.binning not in ("equal_frequency", "equal_width"):
             raise ConfigError(f"unknown binning {self.binning!r}")
         if self.conditioning not in ("none", "greedy_selected"):
@@ -209,8 +211,8 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig, scope: str = "all") -> CmiScor
 
 def select_features(s: CmiScores, cfg: CmiConfig) -> np.ndarray:
     """Binary (F, T) selection matrix; absent cells are never selected."""
-    if (cfg.top_k is None) == (cfg.threshold is None):
-        raise ConfigError("exactly one of top_k and threshold must be set")
+    if cfg.top_k is None and cfg.threshold is None:
+        raise ConfigError("one of top_k and threshold must be set")
     present = ~s.absent()
     out = np.zeros(s.S.shape)
     if cfg.threshold is not None:

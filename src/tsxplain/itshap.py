@@ -66,10 +66,7 @@ class ImportanceMatrix:
     W: np.ndarray  # (F, T); aggregation reads only valid (observed, in-stay) cells
     base: np.ndarray  # (T,) per explained output step
     method: str
-    scope: str = "all"
-    patient_id: Optional[str] = None
     step_table: Optional[np.ndarray] = None  # (T, T) lower-triangular, timestep mode
-    n_valid: Optional[np.ndarray] = None  # per-cell patient counts for aggregates
 
 
 def background_matrix(train: Cohort) -> np.ndarray:
@@ -261,7 +258,6 @@ def explain_patient(
     cfg: ExplainerConfig,
     stay_length: Optional[int] = None,
     steps: Optional[Sequence[int]] = None,
-    patient_id: Optional[str] = None,
 ) -> ImportanceMatrix:
     """Explain each requested valid output step. In cell mode only the final
     explained step's game is played: it gives the F x T attribution matrix,
@@ -307,73 +303,49 @@ def explain_patient(
             yhat = forward_prepared(background[None], model.gru, model.attention)[0]
             earlier = np.array(steps[:-1]) - 1
             base[earlier] = _step_output(yhat, cfg.explain_logit)[earlier]
-    return ImportanceMatrix(
-        W=W,
-        base=base,
-        method="itshap-" + cfg.mode,
-        patient_id=patient_id,
-        step_table=table,
-    )
+    return ImportanceMatrix(W=W, base=base, method="itshap-" + cfg.mode, step_table=table)
 
 
 def aggregate_by_class(
-    explanations: Sequence[ImportanceMatrix], cohort: Cohort, scope: str
-) -> ImportanceMatrix:
-    """Cellwise mean of per-patient importance matrices over the patients in
-    scope, restricted to each patient's valid (observed, in-stay) cells."""
+    W: np.ndarray, cohort: Cohort, scope: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cellwise mean of the importance block W (n, F, T), whose row i is the
+    cohort's patient i, over the patients in scope, restricted to each
+    patient's valid (observed, in-stay) cells; and the (F, T) counts of the
+    patients each cell's mean is over."""
     picked = cohort.scope_indices(scope)
-    if len(explanations) != len(cohort.ids):
-        raise DataError("explanations are not aligned with the cohort")
-    for expl, pid in zip(explanations, cohort.ids):
-        if expl.patient_id is not None and expl.patient_id != pid:
-            raise DataError("explanations are not aligned with the cohort")
+    if W.shape != cohort.M.shape:
+        raise DataError(f"importance block of shape {W.shape} is not aligned with "
+                        f"the cohort's {cohort.M.shape}")
     _, M, _, valid = cohort.stacked()
-    F, T = explanations[picked[0]].W.shape
-    total = np.zeros((F, T))
-    counts = np.zeros((F, T), dtype=np.int64)
-    base_total = np.zeros(T)
-    base_counts = np.zeros(T, dtype=np.int64)
-    for i in picked:
-        expl, vsteps = explanations[i], valid[i]
-        valid_cells = (M[i] == 1.0) & vsteps[None, :]
-        total[valid_cells] += expl.W[valid_cells]
-        counts += valid_cells
-        base_total[vsteps] += expl.base[vsteps]
-        base_counts += vsteps
-    W = np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
-    base = np.divide(
-        base_total, base_counts, out=np.zeros_like(base_total), where=base_counts > 0
-    )
-    return ImportanceMatrix(
-        W=W,
-        base=base,
-        method=explanations[picked[0]].method,
-        scope=scope,
-        patient_id=None,
-        n_valid=counts,
-    )
+    cells = (M[picked] == 1.0) & valid[picked, None, :]
+    rows = np.where(cells, W[picked], 0.0)
+    # cumsum adds the rows in patient order for any F x T, as a loop over the
+    # patients does (a plain sum pairs up the terms of a one-cell block);
+    # + 0.0 turns a lone -0.0 into the +0.0 of a sum started from zeros
+    total = np.cumsum(rows, axis=0, out=rows)[-1] + 0.0
+    counts = cells.sum(axis=0)
+    return np.divide(total, counts, out=np.zeros_like(total), where=counts > 0), counts
 
 
 def save_attributions(
-    explanations: Sequence[ImportanceMatrix], feature_names, path
+    ids, W: np.ndarray, base: np.ndarray, method: str, feature_names, path
 ) -> None:
-    """Write `patient_id,feature,t,attribution,base_t,mode` rows."""
+    """Write `patient_id,feature,t,attribution,base_t,mode` rows, one per
+    cell of each patient's row of W (n, F, T), with its step's base (n, T)."""
+    n, F, T = W.shape
     header = ["patient_id", "feature", "t", "attribution", "base_t", "mode"]
     write_long_csv(path, [header] + [
-        [expl.patient_id, feature_names[f], t + 1, expl.W[f, t], expl.base[t],
-         expl.method]
-        for expl in explanations
-        for f in range(expl.W.shape[0])
-        for t in range(expl.W.shape[1])
+        [ids[i], feature_names[f], t + 1, W[i, f, t], base[i, t], method]
+        for i in range(n) for f in range(F) for t in range(T)
     ])
 
 
-def save_aggregate(agg: ImportanceMatrix, feature_names, path) -> None:
+def save_aggregate(W: np.ndarray, counts: np.ndarray, scope: str, feature_names, path) -> None:
     """Write `feature,t,attribution,n_valid,scope` rows."""
-    F, T = agg.W.shape
+    F, T = W.shape
     header = ["feature", "t", "attribution", "n_valid", "scope"]
     write_long_csv(path, [header] + [
-        [feature_names[f], t + 1, agg.W[f, t],
-         None if agg.n_valid is None else int(agg.n_valid[f, t]), agg.scope]
+        [feature_names[f], t + 1, W[f, t], int(counts[f, t]), scope]
         for f in range(F) for t in range(T)
     ])

@@ -152,10 +152,11 @@ def init_params(
 
 
 def attention_matrix(X: np.ndarray, a: AttentionParams) -> np.ndarray:
-    """Per-column softmax over features of the affine map W X + b."""
+    """Per-column softmax over features of the affine map W X + b, for one
+    patient's X (F, T) or for each row of a cohort's block (n, F, T)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != a.W.shape[1]:
-        raise ShapeError(f"X must be ({a.W.shape[1]}, T)")
+    if X.ndim not in (2, 3) or X.shape[-2] != a.W.shape[1]:
+        raise ShapeError(f"X must be ({a.W.shape[1]}, T) or (n, {a.W.shape[1]}, T)")
     return softmax_axis(a.W @ X + a.b[:, None], axis="cols")
 
 

@@ -45,15 +45,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_axis(m: np.ndarray, axis: str) -> np.ndarray:
-    """Softmax along ``axis`` ("rows": each row sums to 1, "cols": each column
-    sums to 1), stabilized by max subtraction."""
+    """Softmax along ``axis`` of a matrix, or of each matrix of a stack on
+    the last two axes ("rows": each row sums to 1, "cols": each column sums
+    to 1), stabilized by max subtraction."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError("softmax_axis requires a 2-D matrix")
+    if m.ndim < 2:
+        raise ShapeError("softmax_axis requires a matrix or a stack of matrices")
     if axis == "rows":
-        ax = 1
+        ax = -1
     elif axis == "cols":
-        ax = 0
+        ax = -2
     else:
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     return softmax(m, ax)

@@ -7,8 +7,9 @@ gathers each (feature, step) cell's samples patient by patient and codes
 joint alphabets with ``np.unique(axis=0)``, and central-difference
 gradients, average ranks found by walking tied runs, a cohort CSV reader
 that groups rows by patient and parses one cell at a time, a synthetic
-cohort generator that builds one patient record at a time, and a training
-loop that runs each grid point × fold fit on its own."""
+cohort generator that builds one patient record at a time, a training
+loop that runs each grid point × fold fit on its own, and a scope average
+that adds each patient's importance matrix on its own."""
 
 import copy
 import csv
@@ -307,6 +308,23 @@ def explain_patient_every_step(model, X, M, B, cfg, stay_length, steps=None):
                 W[f, tau] = weights[j]
     return ImportanceMatrix(W=W, base=base, method="itshap-" + cfg.mode,
                             step_table=table)
+
+
+def aggregate_by_patient(W, cohort, scope):
+    """Cellwise mean of the patients' (F, T) importance matrices ``W[i]``
+    over the patients in scope, restricted to each patient's valid
+    (observed, in-stay) cells, one patient at a time; and the per-cell
+    counts of those patients."""
+    picked = cohort.scope_indices(scope)
+    _, M, _, valid = cohort.stacked()
+    F, T = W[picked[0]].shape
+    total = np.zeros((F, T))
+    counts = np.zeros((F, T), dtype=np.int64)
+    for i in picked:
+        valid_cells = (M[i] == 1.0) & valid[i][None, :]
+        total[valid_cells] += W[i][valid_cells]
+        counts += valid_cells
+    return np.divide(total, counts, out=np.zeros_like(total), where=counts > 0), counts
 
 
 def finite_diff_grad(

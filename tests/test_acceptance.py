@@ -386,16 +386,9 @@ def test_criterion_09_signal_recovery(capsys):
         )
 
         # intrinsic attention, averaged over positive patients' valid cells
-        total = np.zeros((schema.F, cohort.T))
-        counts = np.zeros((schema.F, cohort.T))
-        for p in cohort.patients:
-            if not p.is_positive:
-                continue
-            A = attention_matrix(p.X * p.M, model.attention)
-            valid = (p.M == 1.0) & p.valid_steps()[None, :]
-            total[valid] += A[valid]
-            counts += valid
-        att_W = np.divide(total, counts, out=np.zeros_like(total), where=counts > 0)
+        att_W, _ = aggregate_by_class(
+            attention_matrix(cohort.X * cohort.M, model.attention), cohort, "positive"
+        )
         for t in steps:
             med = np.median(att_W[null_idx, t])
             att_ok &= all(att_W[f, t] > med for f in planted_idx)
@@ -404,17 +397,17 @@ def test_criterion_09_signal_recovery(capsys):
         B = background_matrix(train_c)
         positives = [p for p in test_c.patients if p.is_positive][:25]
         xcfg = ExplainerConfig(n_samples=1024, seed=seed)
-        expls = [
+        expls = np.array([
             explain_patient(model, p.X, p.M, B, xcfg,
-                            stay_length=p.stay_length, patient_id=p.id,
-                            steps=[p.stay_length])
+                            stay_length=p.stay_length,
+                            steps=[p.stay_length]).W
             for p in positives
-        ]
+        ])
         sub = Cohort(schema, positives, cohort.T)
-        agg = aggregate_by_class(expls, sub, "positive")
+        shap_W, _ = aggregate_by_class(expls, sub, "positive")
         for t in steps:
-            med = np.median(np.abs(agg.W[null_idx, t]))
-            shap_ok &= all(abs(agg.W[f, t]) > med for f in planted_idx)
+            med = np.median(np.abs(shap_W[null_idx, t]))
+            shap_ok &= all(abs(shap_W[f, t]) > med for f in planted_idx)
 
         scores = cmi_feature_scores(cohort, CmiConfig())
         for t in steps:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from tsxplain import cli, model
 from tsxplain import evaluation as eval_mod
+from tsxplain import itshap as itshap_mod
 from tsxplain.cmi import MIN_VALID_SAMPLES, CmiConfig
 from tsxplain.data import load_cohort, split_train_test
 from tsxplain.errors import ConfigError, DataError
+from tsxplain.itshap import explain_patient
 from tsxplain.numerics import RngStream
 
 from oracles import cmi_scores_by_cell
@@ -241,6 +243,7 @@ class TestExplain:
         {"max_conditioners": 1.5}, {"max_conditioners": -1}, {"n_bins": 2.5},
         {"n_bins": True}, {"top_k": 2.5}, {"top_k": -2}, {"top_k": 0},
         {"threshold": "x"}, {"threshold": float("nan")},
+        {"top_k": 2, "threshold": 0.01},
     ])
     def test_cmi_bad_config_exit_2(self, tmp_path, capsys, cmi):
         cfg_path, _ = write_config(tmp_path, {"cmi": cmi})
@@ -316,6 +319,29 @@ class TestExplain:
         ) == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "importance_itshap_all.csv").exists()
+
+    def test_itshap_empty_scope_plays_no_game(self, prepared, capsys, monkeypatch):
+        cfg_path, out = prepared
+        cfg = json.loads(cfg_path.read_text())
+        cfg["itshap"] = {"max_patients": 1}
+        cfg_path.write_text(json.dumps(cfg))
+        cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
+        _, test_c = split_train_test(cohort, 0.7, RngStream(0).child(100))
+        # the one explained patient is outside this scope
+        scope = "negative" if test_c.y[0].any() else "positive"
+        played = []
+
+        def counting_explain(*args, **kwargs):
+            played.append(args)
+            return explain_patient(*args, **kwargs)
+
+        monkeypatch.setattr(itshap_mod, "explain_patient", counting_explain)
+        capsys.readouterr()
+        assert run(["explain", "--config", str(cfg_path), "--method", "itshap",
+                    "--scope", scope]) == 3
+        assert f"no patients in scope {scope!r}" in capsys.readouterr().err
+        assert played == []
+        assert not (out / f"importance_itshap_{scope}.csv").exists()
 
     def test_itshap_unknown_steps_exit_2(self, prepared):
         cfg_path, out = prepared

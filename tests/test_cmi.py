@@ -275,7 +275,7 @@ class TestSelectFeatures:
         {"max_conditioners": -1}, {"max_conditioners": 1.5}, {"max_conditioners": None},
         {"top_k": 0}, {"top_k": -2}, {"top_k": 2.5}, {"top_k": True},
         {"threshold": "x"}, {"threshold": float("nan")}, {"threshold": float("inf")},
-        {"threshold": False},
+        {"threshold": False}, {"top_k": 1, "threshold": 0.5},
     ])
     def test_rejected_fields(self, cfg):
         with pytest.raises(ConfigError):

@@ -8,7 +8,6 @@ from tsxplain import itshap
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
     ExplainerConfig,
-    ImportanceMatrix,
     _coalitions,
     aggregate_by_class,
     background_matrix,
@@ -25,6 +24,7 @@ from tsxplain.numerics import RngStream
 from conftest import small_schema, toy_cohort
 from oracles import (
     Coalition,
+    aggregate_by_patient,
     coalition_inputs_by_player,
     coalitions_by_row,
     explain_patient_every_step,
@@ -369,69 +369,85 @@ class TestExplainModel:
 
 
 class TestAggregate:
-    def make_expls(self, cohort, fill):
-        out = []
-        for p, v in zip(cohort.patients, fill):
-            W = np.full((cohort.F, cohort.T), v)
-            out.append(
-                ImportanceMatrix(
-                    W=W, base=np.full(cohort.T, v), method="itshap-cell",
-                    patient_id=p.id,
-                )
-            )
-        return out
+    def make_block(self, cohort, fill):
+        """The importance block whose row i is patient i's matrix, all fill[i]."""
+        return np.stack([np.full((cohort.F, cohort.T), v) for v in fill])
 
     def test_single_patient_identity(self):
         c = toy_cohort([(None, 6)], F=3, T=6, seed=14)
-        expls = self.make_expls(c, [0.4])
-        agg = aggregate_by_class(expls, c, "all")
-        assert np.abs(agg.W - 0.4).max() < 1e-12
+        W, _ = aggregate_by_class(self.make_block(c, [0.4]), c, "all")
+        assert np.abs(W - 0.4).max() < 1e-12
 
     def test_hand_mean_and_counts(self):
         c = toy_cohort([(None, 6), (1, 6)], F=3, T=6, seed=15)
-        expls = self.make_expls(c, [0.2, 0.6])
-        agg = aggregate_by_class(expls, c, "all")
-        assert np.abs(agg.W - 0.4).max() < 1e-12
-        assert (agg.n_valid == 2).all()
+        W, counts = aggregate_by_class(self.make_block(c, [0.2, 0.6]), c, "all")
+        assert np.abs(W - 0.4).max() < 1e-12
+        assert (counts == 2).all()
 
     def test_opposite_signs_cancel(self):
         c = toy_cohort([(None, 6), (None, 6)], F=3, T=6, seed=16)
-        expls = self.make_expls(c, [1.0, -1.0])
-        agg = aggregate_by_class(expls, c, "all")
-        assert np.abs(agg.W).max() < 1e-12
+        W, _ = aggregate_by_class(self.make_block(c, [1.0, -1.0]), c, "all")
+        assert np.abs(W).max() < 1e-12
 
     def test_scope_filters(self):
         c = toy_cohort([(None, 6), (1, 6)], F=3, T=6, seed=17)
-        expls = self.make_expls(c, [0.2, 0.6])
-        pos = aggregate_by_class(expls, c, "positive")
-        neg = aggregate_by_class(expls, c, "negative")
-        assert np.abs(pos.W - 0.6).max() < 1e-12
-        assert np.abs(neg.W - 0.2).max() < 1e-12
+        block = self.make_block(c, [0.2, 0.6])
+        pos, _ = aggregate_by_class(block, c, "positive")
+        neg, _ = aggregate_by_class(block, c, "negative")
+        assert np.abs(pos - 0.6).max() < 1e-12
+        assert np.abs(neg - 0.2).max() < 1e-12
 
     def test_invalid_cells_excluded(self):
         c = toy_cohort([(None, 4), (None, 6)], F=3, T=6, seed=18)
-        expls = self.make_expls(c, [100.0, 0.5])
-        agg = aggregate_by_class(expls, c, "all")
+        W, counts = aggregate_by_class(self.make_block(c, [100.0, 0.5]), c, "all")
         # steps 5-6 only covered by the second patient
-        assert np.abs(agg.W[:, 4:] - 0.5).max() < 1e-12
-        assert (agg.n_valid[:, 4:] == 1).all()
+        assert np.abs(W[:, 4:] - 0.5).max() < 1e-12
+        assert (counts[:, 4:] == 1).all()
 
     def test_misaligned_rejected(self):
         c = toy_cohort([(None, 6), (None, 6)], F=3, T=6, seed=19)
-        expls = self.make_expls(c, [0.2, 0.6])
-        expls[0].patient_id = "someone_else"
-        with pytest.raises(DataError):
-            aggregate_by_class(expls, c, "all")
+        for fill in ([0.2], [0.2, 0.6, 0.1]):  # a row short, a row over
+            with pytest.raises(DataError):
+                aggregate_by_class(self.make_block(c, fill), c, "all")
 
     def test_unknown_scope(self):
         c = toy_cohort([(None, 6)], F=3, T=6, seed=20)
         with pytest.raises(ConfigError):
-            aggregate_by_class(self.make_expls(c, [0.1]), c, "everyone")
+            aggregate_by_class(self.make_block(c, [0.1]), c, "everyone")
 
     def test_empty_scope(self):
         c = toy_cohort([(None, 6)], F=3, T=6, seed=21)
         with pytest.raises(DataError):
-            aggregate_by_class(self.make_expls(c, [0.1]), c, "positive")
+            aggregate_by_class(self.make_block(c, [0.1]), c, "positive")
+
+    @pytest.mark.parametrize("scope", ["all", "positive", "negative"])
+    @pytest.mark.parametrize("F,T,n,special_rate", [
+        # one cell: the summation order shows only without +-1e300 terms
+        (1, 1, 40, 0.0), (1, 3, 9, 0.1), (3, 6, 20, 0.1), (14, 5, 40, 0.05),
+    ])
+    def test_block_matches_per_patient_loop(self, F, T, n, special_rate, scope):
+        # short stays, masked cells, and values with -0.0 and +-1e300: the
+        # block average must have the bits of the patient-by-patient loop
+        gen = RngStream(F * 100 + T).generator()
+        specs = [(None if i % 3 else 1, 1 + i % T) for i in range(n)]
+        c = toy_cohort(specs, F=F, T=T, seed=n)
+        c.M *= gen.random(c.M.shape) < 0.7
+        W = gen.normal(size=c.M.shape) * 10.0 ** gen.integers(-3, 4, size=c.M.shape)
+        special = gen.choice([-0.0, 1e300, -1e300], size=c.M.shape)
+        W = np.where(gen.random(c.M.shape) < special_rate, special, W)
+        got, got_counts = aggregate_by_class(W, c, scope)
+        want, want_counts = aggregate_by_patient(W, c, scope)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_counts, want_counts)
+
+    @pytest.mark.parametrize("scope", ["all", "positive", "negative"])
+    def test_negative_zeros_average_to_positive_zero(self, scope):
+        # the loop adds -0.0 to a +0.0 start, which gives +0.0
+        c = toy_cohort([(None, 6), (1, 6), (None, 3)], F=3, T=6, seed=22)
+        W = np.full(c.M.shape, -0.0)
+        got, _ = aggregate_by_class(W, c, scope)
+        want, _ = aggregate_by_patient(W, c, scope)
+        assert got.tobytes() == want.tobytes() == np.zeros((3, 6)).tobytes()
 
 
 def _short_stays(F, T, seed):

@@ -150,6 +150,22 @@ class TestAttention:
         shifted = AttentionParams(W=att.W, b=att.b + 7.5)
         assert np.abs(attention_matrix(X, att) - attention_matrix(X, shifted)).max() < 1e-9
 
+    @pytest.mark.parametrize("F", [1, 3, 14])
+    def test_cohort_block_matches_per_patient(self, F):
+        gen = RngStream(F).generator()
+        att = AttentionParams(W=gen.normal(size=(F, F)), b=gen.normal(size=F))
+        X = 5.0 * gen.normal(size=(7, F, 9)) * (gen.random((7, F, 9)) < 0.7)
+        A = attention_matrix(X, att)
+        assert A.shape == X.shape
+        for i in range(X.shape[0]):
+            assert np.array_equal(A[i], attention_matrix(X[i], att))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 4), (2, 4, 5)])
+    def test_shape_error(self, shape):
+        att = AttentionParams(W=np.zeros((3, 3)), b=np.zeros(3))
+        with pytest.raises(ShapeError):
+            attention_matrix(np.zeros(shape), att)
+
 
 class TestForward:
     def test_all_zero_input_constant_per_step(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsxplain.errors import SingularSystemError
+from tsxplain.errors import ShapeError, SingularSystemError
 from tsxplain.numerics import (
     RngStream,
     sigmoid,
@@ -94,6 +94,18 @@ class TestSoftmax:
         out = softmax(x, axis=1)
         for i in range(5):
             assert np.array_equal(out[i], softmax_axis(x[i], axis="cols"))
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    def test_stack_matches_per_matrix(self, axis):
+        x = 10.0 * RngStream(8).generator().normal(size=(2, 3, 4, 5))
+        out = softmax_axis(x, axis=axis)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], softmax_axis(x[i, j], axis=axis))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            softmax_axis(np.zeros(3), axis="cols")
 
 
 class TestWeightedLeastSquares:
