@@ -261,9 +261,12 @@ def cmd_explain(s: Settings, args) -> int:
         train_c, test_c = data_mod.split_train_test(
             cohort, s.train_fraction, RngStream(s.seeds[0]).child(100)
         )
-        B = itshap_mod.background_matrix(train_c)
         explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))
-        explained.scope_indices(scope)  # an empty scope fails before any game is played
+        # an empty scope or too small a sample budget fails before any work;
+        # a patient's largest game has the observed cells as its players
+        explained.scope_indices(scope)
+        itshap_mod.check_budget(int(explained.M.sum(axis=(1, 2)).max()), s.itshap)
+        B = itshap_mod.background_matrix(train_c)
         W, base = np.zeros(explained.X.shape), np.zeros(explained.y.shape)
         for i, stay in enumerate(explained.stay.tolist()):
             expl = itshap_mod.explain_patient(

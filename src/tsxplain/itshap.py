@@ -164,6 +164,13 @@ def _solve_constrained(
     return np.append(coeffs, total - coeffs.sum())
 
 
+def check_budget(m: int, cfg: ExplainerConfig) -> None:
+    """Raise ``ConfigError`` if an m-player game is sampled and ``n_samples``
+    cannot hold its singletons, their complements and the empty and full sets."""
+    if m > cfg.exact_threshold and cfg.n_samples < m + 2:
+        raise ConfigError(f"n_samples={cfg.n_samples} too small for {m} players")
+
+
 def _coalitions(
     m: int, cfg: ExplainerConfig, seed_index: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -184,8 +191,7 @@ def _coalitions(
         order = np.lexsort((-codes, sizes))
         return Z[order], kernel[sizes[order]], 0.0
 
-    if cfg.n_samples < m + 2:
-        raise ConfigError(f"n_samples={cfg.n_samples} too small for {m} players")
+    check_budget(m, cfg)
     gen = RngStream(cfg.seed).child(seed_index).generator()
     sizes = np.arange(2, m - 1)
     n_pairs = max((cfg.n_samples - 2 * m) // 2, 0) if sizes.size > 0 else 0
@@ -275,6 +281,8 @@ def explain_patient(
     if steps is None:
         steps = list(range(1, stay_length + 1))
     steps = sorted(set(int(t) for t in steps))
+    if not steps:
+        raise DataError("no steps to explain")
     if any(t < 1 or t > stay_length for t in steps):
         raise DataError("explained steps must lie within the patient's stay")
 
@@ -282,6 +290,7 @@ def explain_patient(
     base = np.zeros(T)
     table = None
     if cfg.mode == "timestep":
+        check_budget(steps[-1], cfg)  # the games grow with t: fail before the first
         table = np.zeros((T, T))
         for t in steps:
             res = explain_step(model, X, M, t, B, cfg)

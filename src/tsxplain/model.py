@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import ClassWeights, Cohort, FeatureSchema, compute_class_weights, kfold, split_train_test
 from .errors import ConfigError, DataError, ShapeError, is_finite_real, is_integer
-from .numerics import RngStream, sigmoid, softmax, softmax_axis
+from .numerics import RngStream, sigmoid, softmax_axis
 
 EPS = 1e-7
 
@@ -153,25 +153,22 @@ def init_params(
 
 def attention_matrix(X: np.ndarray, a: AttentionParams) -> np.ndarray:
     """Per-column softmax over features of the affine map W X + b, for one
-    patient's X (F, T) or for each row of a cohort's block (n, F, T)."""
+    patient's X (F, T) or for each row of a cohort's block (n, F, T): the
+    map the forward pass weights its input with, bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim not in (2, 3) or X.shape[-2] != a.W.shape[1]:
         raise ShapeError(f"X must be ({a.W.shape[1]}, T) or (n, {a.W.shape[1]}, T)")
-    return softmax_axis(a.W @ X + a.b[:, None], axis="cols")
+    return _attention(X, a).reshape(X.shape)
 
 
-def _each_model(subscripts: str, a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.einsum(subscripts, a, b)`` for each model stacked on the leading
-    axes of ``b`` (whose last three axes are n, F, T), into an array of
-    ``shape``. One call per model keeps each model's summation order, which
-    one einsum over the stack is not known to keep."""
-    lead = b.shape[:-3]
-    out = np.empty(shape)
-    for a_m, b_m, out_m in zip(a.reshape((-1,) + a.shape[len(lead):]),
-                               b.reshape((-1,) + b.shape[-3:]),
-                               out.reshape((-1,) + shape[len(lead):])):
-        np.einsum(subscripts, a_m, b_m, out=out_m)
-    return out
+def _attention(Xin: np.ndarray, att: AttentionParams) -> np.ndarray:
+    """The attention map of inputs (..., n, F, T) for each model on the
+    leading axes of ``att``; the matmul is one gemm per (F, F) @ (F, T) pair.
+    The kernel calls this, so a trace of ``attention_matrix`` counts only
+    the explanation calls."""
+    pre = att.W[..., None, :, :] @ Xin
+    pre += att.b[..., None, :, None]
+    return softmax_axis(pre, axis="cols")
 
 
 def _forward_core(
@@ -194,14 +191,8 @@ def _forward_core(
     lead = Xin.shape[:-3]
     n, F, T = Xin.shape[-3:]
     H = gru.hidden_size
-    if att is not None:
-        pre = _each_model("fg,ngt->nft", att.W, Xin, Xin.shape)
-        pre += att.b[..., None, :, None]
-        A = softmax(pre, axis=-2)  # over features, as in attention_matrix
-        Xeff = Xin * A
-    else:
-        A = None
-        Xeff = Xin
+    A = None if att is None else _attention(Xin, att)
+    Xeff = Xin if A is None else Xin * A
 
     # Both gates share one pre-activation buffer and one sigmoid call; each
     # keeps its own matmul, since one stacked (F+H, 2H) matmul changes the
@@ -387,7 +378,9 @@ def _backward_core(
         dA = np.multiply(dXeff, Xin, out=dXeff)
         inner = np.sum(dA * A, axis=-2, keepdims=True)
         dpre = np.multiply(np.subtract(dA, inner, out=dA), A, out=dA)
-        grads["att_W"] = _each_model("nft,ngt->fg", dpre, Xin, lead + (F, F))
+        # one (F, n*T) @ (n*T, F) gemm per model, over feature-major copies
+        dpre_f, Xin_f = (np.swapaxes(v, -3, -2).reshape(lead + (F, n * T)) for v in (dpre, Xin))
+        grads["att_W"] = dpre_f @ np.swapaxes(Xin_f, -1, -2)
         grads["att_b"] = dpre.sum(axis=(-3, -1))
     return grads
 

@@ -51,21 +51,12 @@ def softmax_axis(m: np.ndarray, axis: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
         raise ShapeError("softmax_axis requires a matrix or a stack of matrices")
-    if axis == "rows":
-        ax = -1
-    elif axis == "cols":
-        ax = -2
-    else:
+    if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    return softmax(m, ax)
-
-
-def softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along an integer ``axis`` of an array of any rank, stabilized
-    by max subtraction; no checks (``softmax_axis`` is the checked form)."""
-    e = x - np.max(x, axis=axis, keepdims=True)
+    ax = -1 if axis == "rows" else -2
+    e = m - np.max(m, axis=ax, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=ax, keepdims=True)
     return e
 
 

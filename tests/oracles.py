@@ -1,6 +1,7 @@
 """Slow, literal reference implementations used only by tests: the
 two-branch sigmoid, one GRU step on a single column, forward and BPTT with
-per-step concatenation and per-step gradient accumulation, coalition
+per-step concatenation and per-step gradient accumulation, the attention
+pre-activation and weight gradient as the einsums the kernel replaced, coalition
 perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time and a full game played for every explained step, CMI screening that
 gathers each (feature, step) cell's samples patient by patient and codes
@@ -85,17 +86,35 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, p: GRUParams) -> np.ndarray:
     return (1.0 - z) * hc + z * h_prev
 
 
-def gru_bptt(Xin, gru: GRUParams, att, y, valid, beta, dropout_mask=None):
+def attention_pre_einsum(W, b, Xin):
+    """The attention pre-activation W X + b of every patient of Xin
+    (n, F, T) as one einsum, the form the kernel used before it shared one
+    matmul with ``attention_matrix``."""
+    return np.einsum("fg,ngt->nft", W, Xin) + b[None, :, None]
+
+
+def attention_grad_einsum(dpre, Xin):
+    """The attention weight gradient, the sum over patients and steps of
+    dpre[:, :, t] outer Xin[:, :, t], as one einsum."""
+    return np.einsum("nft,ngt->fg", dpre, Xin)
+
+
+def gru_bptt(Xin, gru: GRUParams, att, y, valid, beta, dropout_mask=None, einsum=False):
     """Batched forward over Xin (n, F, T) and exact TBBCE gradients, one
     step at a time: per-step concatenated inputs, separate gate matmuls and
     sigmoids, and every parameter gradient accumulated as each step is
-    reached, from the last step to the first. Returns (yhat, grads)."""
+    reached, from the last step to the first. The attention contractions
+    are the kernel's matmuls, or with ``einsum`` the einsums they replaced.
+    Returns (yhat, grads)."""
     n, F, T = Xin.shape
     H = gru.hidden_size
     A = None
     Xeff = Xin
     if att is not None:
-        pre = np.einsum("fg,ngt->nft", att.W, Xin) + att.b[None, :, None]
+        if einsum:
+            pre = attention_pre_einsum(att.W, att.b, Xin)
+        else:
+            pre = att.W @ Xin + att.b[None, :, None]
         e = np.exp(pre - pre.max(axis=1, keepdims=True))
         A = e / e.sum(axis=1, keepdims=True)
         Xeff = Xin * A
@@ -162,7 +181,11 @@ def gru_bptt(Xin, gru: GRUParams, att, y, valid, beta, dropout_mask=None):
         dA = dXeff * Xin
         inner = np.sum(dA * A, axis=1, keepdims=True)
         dpre = A * (dA - inner)
-        grads["att_W"] = np.einsum("nft,ngt->fg", dpre, Xin)
+        if einsum:
+            grads["att_W"] = attention_grad_einsum(dpre, Xin)
+        else:
+            dpre_f, Xin_f = (v.transpose(1, 0, 2).reshape(F, n * T) for v in (dpre, Xin))
+            grads["att_W"] = dpre_f @ Xin_f.T
         grads["att_b"] = dpre.sum(axis=(0, 2))
     return yhat, grads
 

@@ -343,6 +343,27 @@ class TestExplain:
         assert played == []
         assert not (out / f"importance_itshap_{scope}.csv").exists()
 
+    def test_itshap_small_budget_exit_2_before_any_game(self, prepared, capsys, monkeypatch):
+        """The sample budget is checked against the largest explained game
+        before the background is built or the smaller games are played."""
+        cfg_path, out = prepared
+        cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
+        _, test_c = split_train_test(cohort, 0.7, RngStream(0).child(100))
+        players = test_c.M[:6].sum(axis=(1, 2))
+        largest = int(players.max())
+        assert players[0] < largest  # a per-game check would play game 1 first
+        cfg = json.loads(cfg_path.read_text())
+        cfg["itshap"] = {"max_patients": 6, "exact_threshold": 6, "n_samples": largest + 1}
+        cfg_path.write_text(json.dumps(cfg))
+        called = []
+        for name in ("background_matrix", "explain_patient"):
+            monkeypatch.setattr(itshap_mod, name, lambda *a, name=name, **k: called.append(name))
+        capsys.readouterr()
+        assert run(["explain", "--config", str(cfg_path), "--method", "itshap"]) == 2
+        assert f"too small for {largest} players" in capsys.readouterr().err
+        assert called == []
+        assert not (out / "importance_itshap_all.csv").exists()
+
     def test_itshap_unknown_steps_exit_2(self, prepared):
         cfg_path, out = prepared
         cfg = json.loads(cfg_path.read_text())

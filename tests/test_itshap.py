@@ -12,6 +12,7 @@ from tsxplain.itshap import (
     aggregate_by_class,
     background_matrix,
     cell_players,
+    check_budget,
     explain_patient,
     explain_step,
     shap_kernel_weight,
@@ -291,6 +292,22 @@ class TestShapleySampling:
             shapley_values(value, m, ExplainerConfig(exact_threshold=4, n_samples=8))
 
 
+    @pytest.mark.parametrize("m,n_samples,ok", [
+        (12, 2, True),  # enumerated exactly, whatever the budget
+        (13, 15, True), (13, 14, False), (100, 101, False), (100, 102, True),
+    ])
+    def test_budget_bound(self, m, n_samples, ok):
+        """``check_budget`` is the bound ``_coalitions`` applies."""
+        cfg = ExplainerConfig(exact_threshold=12, n_samples=n_samples)
+        if ok:
+            check_budget(m, cfg)
+            _coalitions(m, cfg, 0)
+        else:
+            for call in (lambda: check_budget(m, cfg), lambda: _coalitions(m, cfg, 0)):
+                with pytest.raises(ConfigError, match=f"too small for {m} players"):
+                    call()
+
+
 class TestExplainModel:
     def test_constant_model_all_zero(self):
         model = make_model(F=2, H=3, seed=1)
@@ -356,6 +373,22 @@ class TestExplainModel:
             assert not table[t, t + 1:].any()
             assert table[t, : t + 1].any()
         assert not res.W.any()
+
+    @pytest.mark.parametrize("mode", ["cell", "timestep"])
+    def test_empty_step_list_rejected(self, mode):
+        model = make_model(F=2, H=3, seed=6)
+        with pytest.raises(DataError, match="no steps to explain"):
+            explain_patient(model, np.ones((2, 4)), np.ones((2, 4)), np.zeros((2, 4)),
+                            ExplainerConfig(mode=mode), stay_length=3, steps=[])
+
+    def test_timestep_budget_checked_before_the_first_game(self, monkeypatch):
+        model = make_model(F=3, H=4, seed=6)
+        played = []
+        monkeypatch.setattr(itshap, "explain_step", lambda *a, **k: played.append(a))
+        cfg = ExplainerConfig(mode="timestep", exact_threshold=4, n_samples=16)
+        with pytest.raises(ConfigError, match="too small for 20 players"):
+            explain_patient(model, np.ones((3, 20)), np.ones((3, 20)), np.zeros((3, 20)), cfg)
+        assert played == []
 
     def test_steps_outside_stay_rejected(self):
         model = make_model(F=2, H=3, seed=6)

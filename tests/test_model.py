@@ -160,6 +160,17 @@ class TestAttention:
         for i in range(X.shape[0]):
             assert np.array_equal(A[i], attention_matrix(X[i], att))
 
+    def test_is_the_kernels_map(self):
+        """The map the CLI reports is the one the forward pass weights its
+        input with, bit for bit, for a batch of any size."""
+        cohort = synth_cohort(SynthConfig(n_patients=90, signal_strength=6.0, seed=3))
+        model = make_model(F=cohort.F, H=4, seed=5, use_attention=True)
+        Xin = cohort.X * cohort.M
+        reported = attention_matrix(Xin, model.attention)
+        for rows in (1, 64, len(Xin)):
+            _, cache = _forward_core(Xin[:rows], model.gru, model.attention, want_cache=True)
+            assert np.array_equal(cache["A"], reported[:rows]), rows
+
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 4), (2, 4, 5)])
     def test_shape_error(self, shape):
         att = AttentionParams(W=np.zeros((3, 3)), b=np.zeros(3))
@@ -415,6 +426,34 @@ class TestBackward:
                 assert sorted(grads) == sorted(want)
                 for k in want:
                     assert np.array_equal(grads[k][g], want[k]), k
+
+    @pytest.mark.parametrize("H", [1, 8])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_attention_contractions_near_replaced_einsums(self, n, H, monkeypatch):
+        """The kernel's attention pre-activation and att_W gradient stay
+        within 1e-12 relative error of the einsum forms they replaced."""
+        model = make_model(F=14, H=H, seed=26, use_attention=True)
+        gen = RngStream(27).generator()
+        Xin = 3.0 * gen.normal(size=(n, 14, 9)) * (gen.random((n, 14, 9)) < 0.8)
+        y = (gen.random((n, 9)) < 0.4).astype(float)
+        valid = gen.random((n, 9)) < 0.9
+        valid[0, 0] = True
+        beta = gen.uniform(0.5, 0.9, 9)
+        seen, real = [], model_mod.softmax_axis
+
+        def softmax_axis(m, axis):
+            seen.append(m.copy())
+            return real(m, axis)
+
+        monkeypatch.setattr(model_mod, "softmax_axis", softmax_axis)
+        _, cache = _forward_core(Xin, model.gru, model.attention, want_cache=True)
+        got = _backward_core(cache, model.gru, model.attention, y, valid, beta)
+        _, want = gru_bptt(Xin, model.gru, model.attention, y, valid, beta, einsum=True)
+        [pre] = seen
+        pairs = [(pre, oracles.attention_pre_einsum(model.attention.W, model.attention.b, Xin)),
+                 (got["att_W"], want["att_W"])]
+        for a, b in pairs:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_ones_mask_equals_no_mask(self):
         """A stack mixing dropout and no dropout gives the latter a mask of

@@ -7,7 +7,6 @@ from tsxplain.errors import ShapeError, SingularSystemError
 from tsxplain.numerics import (
     RngStream,
     sigmoid,
-    softmax,
     softmax_axis,
     weighted_least_squares,
 )
@@ -88,10 +87,10 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("F", [1, 3, 14, 200])
     def test_batched_columns_match_per_matrix(self, F):
-        # the model's batched (n, F, T) attention softmax over axis 1 gives
-        # the bits of each patient's (F, T) column softmax
+        # the model's batched (n, F, T) attention softmax gives the bits of
+        # each patient's (F, T) column softmax
         x = 10.0 * RngStream(F).generator().normal(size=(5, F, 9))
-        out = softmax(x, axis=1)
+        out = softmax_axis(x, axis="cols")
         for i in range(5):
             assert np.array_equal(out[i], softmax_axis(x[i], axis="cols"))
 

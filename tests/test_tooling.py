@@ -58,3 +58,21 @@ def test_readme_config_loads(tmp_path):
     settings = cli.load_config(path, args)
     assert settings.seeds == (0, 1, 2) and settings.T == 20
     assert settings.synth.n_patients == 1000 and settings.max_patients == 25
+
+
+def test_traced_attention_train_counts_softmax():
+    """The attention kernel's softmax is the traced ``softmax_axis``, so an
+    attention ``train`` counts softmax calls; it does not go through
+    ``attention_matrix``, whose span times only the explanation calls."""
+    from tsxplain import model
+
+    tracing = _load_tracing()
+    cohort = toy_cohort([(1, 4), (None, 5), (2, 6), (None, 3), (3, 6), (None, 4)], F=4)
+    with tracing.Tracer() as tracer:
+        # looked up on the module inside the block, so the span wraps it
+        model.train(cohort, model.TrainConfig(hidden_size=2, max_epochs=2, batch_size=4),
+                    use_attention=True)
+    metrics = tracing.layer_metrics(tracer, 0)
+    assert metrics["model.train_calls"] == 1
+    assert metrics["numerics.softmax_calls"] > 0
+    assert not any(s.name == "model.attention_matrix" for s in tracer.spans)
