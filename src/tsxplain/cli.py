@@ -84,15 +84,25 @@ def _section(cfg: dict, name: str, make, **fixed):
         raise ConfigError(f"bad {name} section: {exc}") from exc
 
 
+# each train grid list, with the scalar it replaces
+GRID_KEYS = {"learning_rates": "learning_rate", "dropout_rates": "dropout_rate",
+             "hidden_sizes": "hidden_size"}
+
+
 def _train_config(**fields) -> model_mod.TrainConfig:
     """The train section's TrainConfig; its grid lists become the grid_* fields."""
     grid = fields.pop("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError(f"train grid must be a JSON object, got {grid!r}")
-    unknown = sorted(set(grid) - {"learning_rates", "dropout_rates", "hidden_sizes"})
+    unknown = sorted(set(grid) - set(GRID_KEYS))
     if unknown:
         raise ConfigError(f"unknown train grid keys: {', '.join(unknown)}")
-    return model_mod.TrainConfig(**fields, **{f"grid_{k}": tuple(v) for k, v in grid.items()})
+    cfg = model_mod.TrainConfig(**fields, **{f"grid_{k}": tuple(v) for k, v in grid.items()})
+    both = [k for k in grid if GRID_KEYS[k] in fields]
+    if both:  # the grid list would win, and the scalar go unread
+        raise ConfigError(f"train sets both {GRID_KEYS[both[0]]} and grid.{both[0]}; "
+                          "give one of them")
+    return cfg
 
 
 def _explainer_config(max_patients=50, steps="final", **fields):
@@ -138,6 +148,8 @@ def load_config(path, args) -> Settings:
         raise ConfigError("seed list must be nonempty")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
     out = Path(args.out or cfg.get("out_dir", "out"))
     T = cfg.get("T", data_mod.DEFAULT_T)
     threshold = cfg.get("threshold", 0.5)

@@ -384,8 +384,9 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
 
 
 # ---------------------------------------------------------------------------
-# File formats: schema (key-value blocks), cohort CSV and the long-format CSV
-# shared by every score, attribution and metric artefact. The cohort CSV has
+# File formats: schema (key-value blocks) and the long-format CSV that the
+# cohort and every score, attribution and metric artefact share, written by
+# write_long_csv and read by read_long_csv. The cohort CSV has
 # the header `patient_id,t,label,<schema names>`, then each patient's rows for
 # days 1..stay in order as one block; an empty feature cell is unobserved.
 # ---------------------------------------------------------------------------
@@ -446,23 +447,46 @@ def write_long_csv(path, rows) -> None:
             ])
 
 
+def read_long_csv(path, header: list[str]) -> list[list[str]]:
+    """Read a long-format CSV whose first row is ``header``, as one list of
+    cells per column. Another header is a SchemaError; a row of another
+    width, bytes that are not UTF-8 or a cell over the ``csv`` field limit
+    is a DataError."""
+    columns: list[list[str]] = [[] for _ in header]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, [])
+            if got != header:
+                raise SchemaError(f"{path}: header {got} is not {header}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                    f"expected {len(header)}")
+                for column, cell in zip(columns, row):
+                    column.append(cell)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not CSV text: {exc}") from exc
+    return columns
+
+
 def _format_cell(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(float(value))
+    return str(int(value)) if value == int(value) else repr(value)
 
 
 def save_cohort(cohort: Cohort, data_path, schema_path) -> None:
     save_schema(cohort.schema, schema_path)
-    with open(data_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "t", "label"] + cohort.schema.names)
-        for p in cohort.patients:
-            for t in range(p.stay_length):
-                row = [p.id, str(t + 1), str(int(p.y[t]))]
-                for f in range(cohort.F):
-                    row.append(_format_cell(p.X[f, t]) if p.M[f, t] == 1.0 else "")
-                writer.writerow(row)
+
+    def rows():  # one patient's rows at a time, so the file is never held whole
+        yield ["patient_id", "t", "label"] + cohort.schema.names
+        for pid, stay, X, M, y in zip(cohort.ids, cohort.stay.tolist(),
+                                      cohort.X, cohort.M, cohort.y):
+            days = zip(X[:, :stay].T.tolist(), M[:, :stay].T.tolist(), y[:stay].tolist())
+            for t, (x, m, label) in enumerate(days, 1):
+                yield [pid, t, int(label)] + [
+                    _format_cell(v) if seen == 1.0 else "" for v, seen in zip(x, m)]
+
+    write_long_csv(data_path, rows())
 
 
 def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
@@ -471,22 +495,7 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     nothing or a finite number (0 or 1 if binary). Any other header is a
     SchemaError, and any other row a DataError."""
     schema = load_schema(schema_path)
-    expected = ["patient_id", "t", "label"] + schema.names
-    columns: list[list[str]] = [[] for _ in expected]
-    try:
-        with open(data_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header != expected:
-                raise SchemaError(f"cohort header {header} is not {expected}")
-            for row in reader:
-                if len(row) != len(expected):
-                    raise DataError(f"cohort line {reader.line_num}: {len(row)} cells, "
-                                    f"expected {len(expected)}")
-                for column, cell in zip(columns, row):
-                    column.append(cell)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cohort file is not CSV text: {exc}") from exc
+    columns = read_long_csv(data_path, ["patient_id", "t", "label"] + schema.names)
 
     def reject(bad, message) -> None:
         if bad.any():

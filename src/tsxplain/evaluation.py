@@ -6,14 +6,13 @@ still in the ICU at that step) are flagged as None rather than imputed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Cohort, write_long_csv
+from .data import Cohort, read_long_csv, write_long_csv
 from .errors import DataError
 from .model import TrainedModel, forward_prepared
 
@@ -24,12 +23,10 @@ StepTable = dict  # metric name -> list of Optional[float], one per step
 
 @dataclass
 class MetricSeries:
-    name: str
     mean: np.ndarray  # (T,)
     std: np.ndarray  # (T,)
     defined: np.ndarray  # (T,) bool
     n_defined: np.ndarray  # (T,) runs contributing per step
-    n_repeats: int
 
 
 @dataclass
@@ -132,10 +129,7 @@ def aggregate_repeats(runs: Sequence[StepTable]) -> dict[str, MetricSeries]:
                 any_defined = True
                 mean[t] = float(np.mean(vals))
                 std[t] = float(np.std(vals, ddof=1))
-        out[m] = MetricSeries(
-            name=m, mean=mean, std=std, defined=defined,
-            n_defined=n_def, n_repeats=len(runs),
-        )
+        out[m] = MetricSeries(mean=mean, std=std, defined=defined, n_defined=n_def)
     if not any_defined:
         raise DataError("no step is defined in at least 2 runs")
     return out
@@ -170,59 +164,35 @@ def save_metric_series(series: dict[str, MetricSeries], path) -> None:
     write_long_csv(path, rows)
 
 
-def _metric_row(row: list[str], where: str) -> tuple:
-    """(metric, t, mean, std, n_defined) of one row; mean and std are None
-    at an undefined step."""
-    if len(row) != 5 or row[0] not in METRICS:
-        raise DataError(f"{where}: expected metric,t,mean,std,n_defined "
-                        f"with metric one of {', '.join(METRICS)}, got {row!r}")
-    m, t, mean, std, n_def = row
-    try:
-        t, n_def = int(t), int(n_def)
-        mean, std = (None, None) if mean == std == "" else (float(mean), float(std))
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from exc
-    if n_def < 0 or (mean is not None and not (math.isfinite(mean) and math.isfinite(std))):
-        raise DataError(f"{where}: n_defined must be >= 0 and mean and std finite, got {row!r}")
-    return m, t, mean, std, n_def
-
-
 def load_metric_series(path) -> dict[str, MetricSeries]:
-    """Read what ``save_metric_series`` writes. A wrong header, a malformed
-    row, an unknown metric, a non-finite number, or steps of a metric that
-    are not 1..T once each raise DataError."""
+    """Read what ``save_metric_series`` writes. A wrong header is a
+    SchemaError; a malformed row, an unknown metric, a non-finite number,
+    or steps of a metric that are not 1..T once each raise DataError."""
+    columns = read_long_csv(path, ["metric", "t", "mean", "std", "n_defined"])
     rows: dict[str, list] = {m: [] for m in METRICS}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["metric", "t", "mean", "std", "n_defined"]:
-                raise DataError(f"{path}: not a metric series (header metric,t,mean,std,n_defined)")
-            for row in reader:
-                m, *entry = _metric_row(row, f"{path} line {reader.line_num}")
-                rows[m].append(entry)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: unreadable metric series: {exc}") from exc
+    for r, (m, t, mean, std, n_def) in enumerate(zip(*columns)):
+        where = f"{path} line {r + 2}"
+        if m not in METRICS:
+            raise DataError(f"{where}: metric {m!r} is not one of {', '.join(METRICS)}")
+        try:
+            t, n_def = int(t), int(n_def)
+            mean, std = (None, None) if mean == std == "" else (float(mean), float(std))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        if n_def < 0 or (mean is not None and not (math.isfinite(mean) and math.isfinite(std))):
+            raise DataError(f"{where}: n_defined must be >= 0 and mean and std finite")
+        rows[m].append((t, mean, std, n_def))
     out = {}
     for m, entries in rows.items():
         if not entries:
             raise DataError(f"metric {m} missing from {path}")
-        T = len(entries)
-        if sorted(t for t, *_ in entries) != list(range(1, T + 1)):
-            raise DataError(f"{path}: steps of metric {m} must be 1..{T}, each once")
-        mean = np.zeros(T)
-        std = np.zeros(T)
-        defined = np.zeros(T, dtype=bool)
-        n_def = np.zeros(T, dtype=np.int64)
-        for t, m_val, s_val, n in entries:
-            n_def[t - 1] = n
-            if m_val is not None:
-                defined[t - 1] = True
-                mean[t - 1] = m_val
-                std[t - 1] = s_val
-        out[m] = MetricSeries(
-            name=m, mean=mean, std=std, defined=defined,
-            n_defined=n_def, n_repeats=int(n_def.max()),
-        )
+        steps, means, stds, n_def = zip(*sorted(entries, key=lambda e: e[0]))
+        if steps != tuple(range(1, len(steps) + 1)):
+            raise DataError(f"{path}: steps of metric {m} must be 1..{len(steps)}, each once")
+        defined = np.array([v is not None for v in means])
+        mean, std = (np.array([0.0 if v is None else v for v in vs]) for vs in (means, stds))
+        out[m] = MetricSeries(mean=mean, std=std, defined=defined,
+                              n_defined=np.array(n_def, dtype=np.int64))
     return out
 
 

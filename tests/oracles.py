@@ -7,7 +7,8 @@ a time and a full game played for every explained step, CMI screening that
 gathers each (feature, step) cell's samples patient by patient and codes
 joint alphabets with ``np.unique(axis=0)``, and central-difference
 gradients, average ranks found by walking tied runs, a cohort CSV reader
-that groups rows by patient and parses one cell at a time, a synthetic
+that groups rows by patient and parses one cell at a time, a cohort CSV
+writer that formats one patient record's cells one at a time, a synthetic
 cohort generator that builds one patient record at a time, a training
 loop that runs each grid point × fold fit on its own, and a scope average
 that adds each patient's importance matrix on its own."""
@@ -32,6 +33,7 @@ from tsxplain.data import (
     compute_class_weights,
     kfold,
     load_schema,
+    save_schema,
     split_train_test,
     synth_schema,
 )
@@ -484,6 +486,27 @@ def _greedy_score_by_lists(cell, f, conditioners) -> float:
     pick = np.isin(who, common)
     z_cols = [cell[g][0][np.isin(cell[g][2], common)] for g in conditioners]
     return cmi_unique_rows(vals[pick], labels[pick], np.stack(z_cols, axis=1))
+
+
+def save_cohort_by_patient(cohort: Cohort, data_path, schema_path) -> None:
+    """Cohort CSV writer that walks the patient records and formats each
+    numpy cell on its own: an integral value as an int, any other as repr."""
+
+    def format_cell(value) -> str:
+        if value == int(value):
+            return str(int(value))
+        return repr(float(value))
+
+    save_schema(cohort.schema, schema_path)
+    with open(data_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "t", "label"] + cohort.schema.names)
+        for p in cohort.patients:
+            for t in range(p.stay_length):
+                row = [p.id, str(t + 1), str(int(p.y[t]))]
+                for f in range(cohort.F):
+                    row.append(format_cell(p.X[f, t]) if p.M[f, t] == 1.0 else "")
+                writer.writerow(row)
 
 
 def load_cohort_by_cell(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:

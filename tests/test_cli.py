@@ -617,6 +617,10 @@ class TestConfigHandling:
         {"grid": {"hidden_sizes": [2.5]}}, {"grid": {"dropout_rates": [0.0, 1.0]}},
         {"grid": {"learning_rate": [0.5]}}, {"grid": [0.5]}, {"seed": 5},
         {"threshold": 0.5}, {"cv_folds": 1},
+        # a scalar and the grid list that would override it
+        {"learning_rate": 0.5, "grid": {"learning_rates": [0.25, 0.5]}},
+        {"dropout_rate": 0.1, "grid": {"dropout_rates": [0.0]}},
+        {"grid": {"hidden_sizes": [2, 3]}},  # the base config sets hidden_size
     ])
     def test_bad_train_field_exit_2(self, tmp_path, capsys, train):
         cfg_path, _ = write_config(tmp_path, {"train": train})
@@ -645,6 +649,17 @@ class TestConfigHandling:
     def test_bad_seed_flag_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         assert run(["synth", "--config", str(cfg_path), "--seed", "zero"]) == 2
+
+    def test_duplicate_seed_exit_2(self, tmp_path, capsys):
+        """A repeated seed would fit the same run twice and report a spread
+        over one run."""
+        cfg_path, _ = write_config(tmp_path, {"seeds": [0, 0]})
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        assert "seeds must be distinct" in capsys.readouterr().err
+        cfg_path, _ = write_config(tmp_path)
+        assert run(["synth", "--config", str(cfg_path), "--seed", "1,1"]) == 2
+        assert run(["train", "--config", str(cfg_path), "--seed", "2,0,2"]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestHeatmap:

@@ -1,9 +1,13 @@
 import csv
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tsxplain.data import (
     Cohort,
@@ -16,6 +20,7 @@ from tsxplain.data import (
     load_cohort,
     load_schema,
     planted_features,
+    read_long_csv,
     save_cohort,
     save_schema,
     split_train_test,
@@ -27,7 +32,7 @@ from tsxplain.errors import ConfigError, DataError, SchemaError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
-from oracles import load_cohort_by_cell, synth_cohort_by_patient
+from oracles import load_cohort_by_cell, save_cohort_by_patient, synth_cohort_by_patient
 
 
 class TestSchema:
@@ -390,7 +395,54 @@ OFF_LAYOUT = {
 }
 
 
+# cells that an int64 or a short repr would get wrong, and any other finite float
+CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0**53 - 1, 2.0**53 + 1, 2.0**63, -(2.0**63), 2.0**64,
+                     1e300, -1e300, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def raw_cohorts(draw):
+    """An unchecked cohort of 0-4 patients with random stays, masks, labels
+    and cells."""
+    n, F, T = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    blocks = [draw(hnp.arrays(np.float64, shape, elements=elements)) for shape, elements in (
+        ((n, F, T), CELL_VALUES), ((n, F, T), st.sampled_from([0.0, 1.0])),
+        ((n, T), st.sampled_from([0.0, 1.0])))]
+    stay = draw(hnp.arrays(np.int64, n, elements=st.integers(1, T)))
+    ids = np.array([f"p{i}" for i in range(n)], dtype=object)
+    return Cohort.from_blocks(small_schema(F), T, *blocks, stay, ids)
+
+
 class TestCohortIo:
+    @given(raw_cohorts())
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_record_oracle_bytewise(self, cohort):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            save_cohort(cohort, d / "d.csv", d / "s.txt")
+            save_cohort_by_patient(cohort, d / "d0.csv", d / "s0.txt")
+            assert (d / "d.csv").read_bytes() == (d / "d0.csv").read_bytes()
+            assert (d / "s.txt").read_bytes() == (d / "s0.txt").read_bytes()
+
+    def test_writer_memory_does_not_grow_with_patients(self, tmp_path):
+        """The file streams out a patient at a time: four times the patients
+        cost the writer at most a quarter more memory at its peak."""
+        c = synth_cohort(SynthConfig(n_patients=500, missing_rate=0.2, seed=4))
+        big = Cohort.from_blocks(c.schema, c.T, *(np.concatenate([b] * 4) for b in (
+            c.X, c.M, c.y, c.stay)), np.array([f"q{i:05d}" for i in range(2000)], dtype=object))
+        peaks = []
+        for cohort in (c, big):
+            tracemalloc.start()
+            try:
+                save_cohort(cohort, tmp_path / "d.csv", tmp_path / "s.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_round_trip_bit_exact(self, tmp_path):
         c = synth_cohort(SynthConfig(n_patients=30, missing_rate=0.2, seed=7))
         save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
@@ -515,6 +567,20 @@ class TestCohortIo:
 
 
 class TestLongCsv:
+    def test_read_returns_columns(self, tmp_path):
+        write_long_csv(tmp_path / "m.csv", [["a", "b"], ["x", 1], ["", 2.5]])
+        assert read_long_csv(tmp_path / "m.csv", ["a", "b"]) == [["x", ""], ["1", "2.5"]]
+
+    @pytest.mark.parametrize("rows,error,message", [
+        ([["a", "c"], ["x", 1]], SchemaError, r"header \['a', 'c'\] is not \['a', 'b'\]"),
+        ([], SchemaError, r"header \[\] is not"),
+        ([["a", "b"], ["x", 1], ["y"]], DataError, "line 3: 1 cells, expected 2"),
+    ])
+    def test_read_rejects_off_layout(self, tmp_path, rows, error, message):
+        write_long_csv(tmp_path / "m.csv", rows)
+        with pytest.raises(error, match=message):
+            read_long_csv(tmp_path / "m.csv", ["a", "b"])
+
     def test_floats_round_trip_bit_exact(self, tmp_path):
         values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, float("inf")]
         values += list(RngStream(11).generator().normal(scale=1e3, size=50))

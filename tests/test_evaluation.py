@@ -210,10 +210,8 @@ class TestDelta:
         defined = defined if defined is not None else [True] * T
         return {
             m: MetricSeries(
-                name=m, mean=np.array(means, dtype=float),
-                std=np.array(stds, dtype=float),
+                mean=np.array(means, dtype=float), std=np.array(stds, dtype=float),
                 defined=np.array(defined), n_defined=np.full(T, 3),
-                n_repeats=3,
             )
             for m in METRICS
         }
