@@ -25,7 +25,8 @@ from . import evaluation as eval_mod
 from . import itshap as itshap_mod
 from . import model as model_mod
 from .errors import (
-    ConfigError, DataError, NotTrainedError, SchemaError, is_finite_real, is_integer,
+    ConfigError, DataError, NotTrainedError, SchemaError, check_values, integer, is_integer,
+    number, one_of,
 )
 from .numerics import RngStream
 
@@ -40,9 +41,9 @@ CONFIG_KEYS = {
     "schema": _PATH,
     "seeds": ("a list of integers",
               lambda v: isinstance(v, list) and all(is_integer(s) for s in v)),
-    "T": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
-    "threshold": ("a finite number", is_finite_real),
-    "train_fraction": ("a number in (0, 1)", lambda v: is_finite_real(v) and 0 < v < 1),
+    "T": integer(1),
+    "threshold": number(),
+    "train_fraction": number("(0, 1)"),
     "synth": _SECTION,
     "train": _SECTION,
     "cmi": _SECTION,
@@ -92,8 +93,7 @@ GRID_KEYS = {"learning_rates": "learning_rate", "dropout_rates": "dropout_rate",
 def _train_config(**fields) -> model_mod.TrainConfig:
     """The train section's TrainConfig; its grid lists become the grid_* fields."""
     grid = fields.pop("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError(f"train grid must be a JSON object, got {grid!r}")
+    check_values({"grid": grid}, {"grid": _SECTION}, "train")
     unknown = sorted(set(grid) - set(GRID_KEYS))
     if unknown:
         raise ConfigError(f"unknown train grid keys: {', '.join(unknown)}")
@@ -105,15 +105,14 @@ def _train_config(**fields) -> model_mod.TrainConfig:
     return cfg
 
 
+# the itshap keys only the CLI reads, and its one mode: timestep mode fills
+# only a step x step table, which no CLI artefact holds
+ITSHAP_KEYS = {"mode": one_of("cell"), "max_patients": integer(1), "steps": one_of("final", "all")}
+
+
 def _explainer_config(max_patients=50, steps="final", **fields):
     """The itshap section's ExplainerConfig plus the two keys only the CLI reads."""
-    if fields.get("mode", "cell") != "cell":
-        # timestep mode fills only a step x step table, which no CLI artefact holds
-        raise ConfigError(f"itshap mode must be 'cell' in the CLI, got {fields['mode']!r}")
-    if steps not in ("final", "all"):
-        raise ConfigError(f"itshap steps must be 'final' or 'all', got {steps!r}")
-    if not (is_integer(max_patients) and max_patients >= 1):
-        raise ConfigError(f"itshap max_patients must be an integer >= 1, got {max_patients!r}")
+    check_values({**fields, "max_patients": max_patients, "steps": steps}, ITSHAP_KEYS, "itshap")
     return itshap_mod.ExplainerConfig(**fields), max_patients, steps
 
 
@@ -132,10 +131,7 @@ def load_config(path, args) -> Settings:
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in cfg.items():
-        what, check = CONFIG_KEYS[key]
-        if not check(value):
-            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    check_values(cfg, CONFIG_KEYS, "config key")
 
     if args.seed:
         try:
@@ -292,8 +288,8 @@ def cmd_explain(s: Settings, args) -> int:
     itshap_mod.save_aggregate(mean, counts, scope, names, path)
     save_heatmap_pgm(mean, out / f"importance_{method}_{scope}.pgm")
     if method == "itshap":
-        itshap_mod.save_attributions(explained.ids, W, base, expl.method, names,
-                                     out / f"attributions_itshap_{scope}.csv")
+        itshap_mod.save_attributions(explained.ids, W, base, "itshap-" + s.itshap.mode,
+                                     names, out / f"attributions_itshap_{scope}.csv")
     print(f"wrote {path}")
     return 0
 

@@ -14,9 +14,14 @@ from typing import Optional
 import numpy as np
 
 from .data import Cohort, write_long_csv
-from .errors import ConfigError, DataError, is_finite_real, is_integer
+from .errors import ConfigError, DataError, check_values, integer, number, one_of, optional
 
 MIN_VALID_SAMPLES = 10
+CMI_RULES = {
+    "n_bins": integer(2), "binning": one_of("equal_frequency", "equal_width"),
+    "conditioning": one_of("none", "greedy_selected"), "top_k": optional(integer(1)),
+    "threshold": optional(number()), "max_conditioners": integer(0),
+}
 
 
 @dataclass(frozen=True)
@@ -29,24 +34,9 @@ class CmiConfig:
     max_conditioners: int = 2
 
     def __post_init__(self):
-        if not (is_integer(self.n_bins) and self.n_bins >= 2):
-            raise ConfigError(f"n_bins must be an integer >= 2, got {self.n_bins!r}")
-        if not (is_integer(self.max_conditioners) and self.max_conditioners >= 0):
-            raise ConfigError(
-                f"max_conditioners must be an integer >= 0, got {self.max_conditioners!r}"
-            )
-        if not (self.top_k is None or (is_integer(self.top_k) and self.top_k >= 1)):
-            raise ConfigError(f"top_k must be an integer >= 1 or null, got {self.top_k!r}")
-        if not (self.threshold is None or is_finite_real(self.threshold)):
-            raise ConfigError(
-                f"threshold must be a finite number or null, got {self.threshold!r}"
-            )
+        check_values(vars(self), CMI_RULES, "cmi")
         if self.top_k is not None and self.threshold is not None:
             raise ConfigError("set at most one of top_k and threshold")
-        if self.binning not in ("equal_frequency", "equal_width"):
-            raise ConfigError(f"unknown binning {self.binning!r}")
-        if self.conditioning not in ("none", "greedy_selected"):
-            raise ConfigError(f"unknown conditioning {self.conditioning!r}")
 
 
 @dataclass

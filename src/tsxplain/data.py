@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError, is_finite_real, is_integer
+from .errors import ConfigError, DataError, SchemaError, check_values, integer, number
 from .numerics import RngStream, sigmoid
 
 KINDS = ("binary", "numeric")
@@ -246,6 +246,18 @@ def kfold(c: Cohort, k: int, rng: RngStream) -> list[tuple[Cohort, Cohort]]:
             for i in range(k)]
 
 
+# numpy's Poisson draw of the stays rejects a mean above about 9.22e18; the
+# stays are clipped to T, so a mean this large already makes every stay T long
+MAX_MEAN_STAY = 1e18
+SYNTH_RULES = {
+    "n_patients": integer(1), "mdr_fraction": number("[0, 1)"),
+    "n_previous_culture": integer(1), "n_antibiotic": integer(1),
+    "n_environment": integer(1), "n_care": integer(1), "signal_strength": number(),
+    "missing_rate": number("[0, 1)"), "mean_stay": number(f"(0, {MAX_MEAN_STAY}]"),
+    "T": integer(1), "seed": integer(0),
+}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_patients: int
@@ -261,22 +273,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_patients", "n_previous_culture", "n_antibiotic",
-                     "n_environment", "n_care", "T", "seed"):
-            value = getattr(self, name)
-            least = 0 if name == "seed" else 1
-            if not (is_integer(value) and value >= least):
-                raise ConfigError(f"synth {name} must be an integer >= {least}, got {value!r}")
-        for name in ("mdr_fraction", "signal_strength", "missing_rate", "mean_stay"):
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ConfigError(f"synth {name} must be a finite number, got {value!r}")
-        if not (0.0 <= self.mdr_fraction < 1.0):
-            raise ConfigError("mdr_fraction must be in [0, 1)")
-        if not (0.0 <= self.missing_rate < 1.0):
-            raise ConfigError("missing_rate must be in [0, 1)")
-        if self.mean_stay <= 0:
-            raise ConfigError("mean_stay must be positive")
+        check_values(vars(self), SYNTH_RULES, "synth")
 
 
 def synth_schema(cfg: SynthConfig) -> FeatureSchema:

@@ -21,9 +21,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Cohort, write_long_csv
-from .errors import ConfigError, DataError, NotTrainedError, is_finite_real, is_integer
+from .errors import ConfigError, DataError, NotTrainedError, check_values, integer, number, one_of
 from .model import TrainedModel, forward_prepared
 from .numerics import RngStream, weighted_least_squares
+
+
+EXPLAINER_RULES = {
+    "mode": one_of("cell", "timestep"), "n_samples": integer(2), "ridge": number("[0, inf)"),
+    "exact_threshold": integer(0, 16), "seed": integer(0),
+    "explain_logit": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass(frozen=True)
@@ -36,21 +43,7 @@ class ExplainerConfig:
     explain_logit: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("cell", "timestep"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        for name in ("n_samples", "exact_threshold", "seed"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if not (0 <= self.exact_threshold <= 16):
-            raise ConfigError("exact_threshold must be in 0..16")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be at least 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if not (is_finite_real(self.ridge) and self.ridge >= 0):
-            raise ConfigError("ridge must be a finite nonnegative number")
-        if not isinstance(self.explain_logit, bool):
-            raise ConfigError(f"explain_logit must be true or false, got {self.explain_logit!r}")
+        check_values(vars(self), EXPLAINER_RULES, "itshap")
 
 
 @dataclass
@@ -65,7 +58,6 @@ class StepExplanation:
 class ImportanceMatrix:
     W: np.ndarray  # (F, T); aggregation reads only valid (observed, in-stay) cells
     base: np.ndarray  # (T,) per explained output step
-    method: str
     step_table: Optional[np.ndarray] = None  # (T, T) lower-triangular, timestep mode
 
 
@@ -312,7 +304,7 @@ def explain_patient(
             yhat = forward_prepared(background[None], model.gru, model.attention)[0]
             earlier = np.array(steps[:-1]) - 1
             base[earlier] = _step_output(yhat, cfg.explain_logit)[earlier]
-    return ImportanceMatrix(W=W, base=base, method="itshap-" + cfg.mode, step_table=table)
+    return ImportanceMatrix(W=W, base=base, step_table=table)
 
 
 def aggregate_by_class(

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ClassWeights, Cohort, FeatureSchema, compute_class_weights, kfold, split_train_test
-from .errors import ConfigError, DataError, ShapeError, is_finite_real, is_integer
+from .errors import ConfigError, DataError, ShapeError, check_values, grid, integer, number
 from .numerics import RngStream, sigmoid, softmax_axis
 
 EPS = 1e-7
@@ -64,6 +64,15 @@ class AttentionParams:
     b: np.ndarray  # (F,)
 
 
+TRAIN_RULES = {
+    "learning_rate": number("(0, inf)"), "dropout_rate": number("[0, 1)"),
+    "hidden_size": integer(1), "max_epochs": integer(1), "patience": integer(0),
+    "batch_size": integer(1), "seed": integer(0), "cv_folds": integer(2),
+    "threshold": number(), "grid_learning_rates": grid(number("(0, inf)")),
+    "grid_dropout_rates": grid(number("[0, 1)")), "grid_hidden_sizes": grid(integer(1)),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.25
@@ -80,36 +89,12 @@ class TrainConfig:
     grid_hidden_sizes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        for lr in (self.learning_rate, *(self.grid_learning_rates or ())):
-            if not (is_finite_real(lr) and lr > 0):
-                raise ConfigError(f"learning rates must be finite and positive, got {lr!r}")
-        for dr in (self.dropout_rate, *(self.grid_dropout_rates or ())):
-            if not (is_finite_real(dr) and 0.0 <= dr < 1.0):
-                raise ConfigError(f"dropout rates must be in [0, 1), got {dr!r}")
-        counts = [("hidden_size", self.hidden_size, 1), ("max_epochs", self.max_epochs, 1),
-                  ("patience", self.patience, 0), ("batch_size", self.batch_size, 1),
-                  ("seed", self.seed, 0), ("cv_folds", self.cv_folds, 2)]
-        counts += [("grid hidden_sizes", h, 1) for h in self.grid_hidden_sizes or ()]
-        for name, value, least in counts:
-            if not (is_integer(value) and value >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not is_finite_real(self.threshold):
-            raise ConfigError(f"threshold must be a finite number, got {self.threshold!r}")
+        check_values(vars(self), TRAIN_RULES, "train")
 
     def grid_points(self) -> list[tuple[float, float, int]]:
-        lrs = self.grid_learning_rates
-        drs = self.grid_dropout_rates
-        hss = self.grid_hidden_sizes
-        if lrs is None:
-            lrs = (self.learning_rate,)
-        if drs is None:
-            drs = (self.dropout_rate,)
-        if hss is None:
-            hss = (self.hidden_size,)
-        points = list(itertools.product(lrs, drs, hss))
-        if not points:
-            raise ConfigError("hyperparameter grid is empty")
-        return points
+        return list(itertools.product(self.grid_learning_rates or (self.learning_rate,),
+                                      self.grid_dropout_rates or (self.dropout_rate,),
+                                      self.grid_hidden_sizes or (self.hidden_size,)))
 
 
 @dataclass

@@ -331,8 +331,7 @@ def explain_patient_every_step(model, X, M, B, cfg, stay_length, steps=None):
         elif t == steps[-1]:
             for j, (f, tau) in enumerate(players):
                 W[f, tau] = weights[j]
-    return ImportanceMatrix(W=W, base=base, method="itshap-" + cfg.mode,
-                            step_table=table)
+    return ImportanceMatrix(W=W, base=base, step_table=table)
 
 
 def aggregate_by_patient(W, cohort, scope):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -11,9 +12,10 @@ from tsxplain import cli, model
 from tsxplain import evaluation as eval_mod
 from tsxplain import itshap as itshap_mod
 from tsxplain.cmi import MIN_VALID_SAMPLES, CmiConfig
-from tsxplain.data import load_cohort, split_train_test
+from tsxplain.data import SynthConfig, load_cohort, split_train_test
 from tsxplain.errors import ConfigError, DataError
-from tsxplain.itshap import explain_patient
+from tsxplain.itshap import ExplainerConfig, explain_patient
+from tsxplain.model import TrainConfig
 from tsxplain.numerics import RngStream
 
 from oracles import cmi_scores_by_cell
@@ -188,7 +190,7 @@ class TestTrain:
         capsys.readouterr()
         assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "learning rates" in err
+        assert "config error" in err and "learning_rate" in err
         assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
 
     def test_single_class_cohort_exit_3(self, tmp_path):
@@ -291,7 +293,8 @@ class TestExplain:
             ["explain", "--config", str(cfg_path), "--method", "itshap"]
         ) == 0
         assert (out / "importance_itshap_all.csv").exists()
-        assert (out / "attributions_itshap_all.csv").exists()
+        with open(out / "attributions_itshap_all.csv") as fh:
+            assert {row["mode"] for row in csv.DictReader(fh)} == {"itshap-cell"}
 
     @pytest.mark.parametrize("itshap", [
         {"ridge": float("nan")},
@@ -603,11 +606,13 @@ class TestConfigHandling:
         {"seed": 1.5}, {"mdr_fraction": 1.0}, {"missing_rate": float("nan")},
         {"mean_stay": 0}, {"signal_strength": "4"}, {"signal_strength": float("inf")},
         {"T": 8}, {"seed": 0},  # set at the top level only
+        {"mean_stay": 1e19},  # past what numpy's Poisson draw takes
     ])
     def test_bad_synth_field_exit_2(self, tmp_path, capsys, synth):
         cfg_path, _ = write_config(tmp_path, {"synth": synth})
         assert run(["synth", "--config", str(cfg_path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and next(iter(synth)) in err
         assert not (tmp_path / "out" / "cohort.csv").exists()
 
     @pytest.mark.parametrize("train", [
@@ -638,6 +643,34 @@ class TestConfigHandling:
         assert run(["synth", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["learning_rates", "dropout_rates", "hidden_sizes"])
+    def test_empty_grid_list_exit_2(self, tmp_path, capsys, key):
+        """An empty grid would leave train no point to fit; it stops synth
+        before the cohort is written."""
+        cfg_path, cfg = write_config(tmp_path)
+        cfg["train"] = {"max_epochs": 3, "grid": {key: []}}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"train 'grid_{key}' must be" in err and "got ()" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_message_form(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, {"synth": {"n_patients": 30.5}})
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: synth 'n_patients' must be an integer >= 1, got 30.5\n")
+
+    @pytest.mark.parametrize("cls,name", [
+        (cls, f.name) for cls in (SynthConfig, TrainConfig, CmiConfig, ExplainerConfig)
+        for f in dataclasses.fields(cls)
+    ])
+    def test_every_field_names_itself(self, cls, name):
+        base = {"n_patients": 10} if cls is SynthConfig else {}
+        with pytest.raises(ConfigError) as info:
+            cls(**{**base, name: "x"})
+        assert repr(name) in str(info.value) and "'x'" in str(info.value)
 
     def test_negative_seed_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, {"seeds": [0, -1]})
