@@ -88,6 +88,7 @@ def _section(cfg: dict, name: str, make, **fixed):
 # each train grid list, with the scalar it replaces
 GRID_KEYS = {"learning_rates": "learning_rate", "dropout_rates": "dropout_rate",
              "hidden_sizes": "hidden_size"}
+_LIST = ("a list", lambda v: isinstance(v, list))
 
 
 def _train_config(**fields) -> model_mod.TrainConfig:
@@ -97,6 +98,7 @@ def _train_config(**fields) -> model_mod.TrainConfig:
     unknown = sorted(set(grid) - set(GRID_KEYS))
     if unknown:
         raise ConfigError(f"unknown train grid keys: {', '.join(unknown)}")
+    check_values(grid, dict.fromkeys(GRID_KEYS, _LIST), "train grid")
     cfg = model_mod.TrainConfig(**fields, **{f"grid_{k}": tuple(v) for k, v in grid.items()})
     both = [k for k in grid if GRID_KEYS[k] in fields]
     if both:  # the grid list would win, and the scalar go unread

@@ -7,13 +7,15 @@ which yields full F x T attribution heatmaps). Deactivated players are
 replaced by a background matrix of training-cohort feature means. Small
 games are enumerated exactly; larger games use paired-complement coalition
 sampling with Shapley kernel weights and a ridge-stabilized weighted linear
-fit. The two degenerate coalitions (empty/full) enter as exactness
-constraints, so the base value equals the background output and the
-attributions sum to the explained output exactly.
+fit, which plays no pair whose weight is below float64 resolution. The two
+degenerate coalitions (empty/full) enter as exactness constraints, so the
+base value equals the background output and the attributions sum to the
+explained output exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -101,6 +103,15 @@ def shap_kernel_weight(players: int, coalition_size: int) -> float:
     return (m - 1) / (math.comb(m, s) * s * (m - s))
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_table(m: int) -> np.ndarray:
+    """Read-only kernel weights of an m-player game by coalition size 0..m;
+    a cohort has at most F x T player counts, so the cache stays small."""
+    kernel = np.array([shap_kernel_weight(m, s) for s in range(m + 1)])
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _step_output(yhat: np.ndarray, explain_logit: bool) -> np.ndarray:
     """The explained quantity: the probability, or its clipped logit."""
     if explain_logit:
@@ -158,7 +169,9 @@ def _solve_constrained(
 
 def check_budget(m: int, cfg: ExplainerConfig) -> None:
     """Raise ``ConfigError`` if an m-player game is sampled and ``n_samples``
-    cannot hold its singletons, their complements and the empty and full sets."""
+    is below m + 2. Whatever the budget, the game plays its m singletons,
+    their m complements and the empty and full sets; ``n_samples`` bounds
+    the sampled rows beyond those at ``n_samples - 2m``."""
     if m > cfg.exact_threshold and cfg.n_samples < m + 2:
         raise ConfigError(f"n_samples={cfg.n_samples} too small for {m} players")
 
@@ -171,9 +184,14 @@ def _coalitions(
 
     Up to ``cfg.exact_threshold`` players every subset is listed, ordered by
     size and then as ``itertools.combinations`` lists them. Larger games take
-    all singletons and sampled subsets, each followed by its complement.
+    all singletons and sampled subsets, each followed by its complement. Of
+    the (n_samples - 2m) // 2 drawn pair sizes, those whose kernel weight is
+    below float64 epsilon times a singleton's are dropped before their
+    subsets are drawn: such rows cannot move the fit. ``n_samples`` thus
+    bounds the sampled rows rather than counting them; no size is dropped
+    for m <= 57.
     """
-    kernel = np.array([shap_kernel_weight(m, s) for s in range(m + 1)])
+    kernel = _kernel_table(m)
     if m <= cfg.exact_threshold:
         codes = np.arange(1, 2**m - 1)
         # player 0 is the most significant bit, so within one size the
@@ -186,16 +204,17 @@ def _coalitions(
     check_budget(m, cfg)
     gen = RngStream(cfg.seed).child(seed_index).generator()
     sizes = np.arange(2, m - 1)
-    n_pairs = max((cfg.n_samples - 2 * m) // 2, 0) if sizes.size > 0 else 0
-    Z = np.zeros((2 * (m + n_pairs), m), dtype=bool)
-    Z[np.arange(0, 2 * m, 2), np.arange(m)] = True  # row 2j: singleton j
+    drawn = sizes[:0]  # games of up to 3 players have no interior pair size
     if sizes.size > 0:
         # kernel(s) * comb(m, s) simplifies to (m - 1) / (s * (m - s))
         probs = (m - 1) / (sizes * (m - sizes)).astype(np.float64)
         probs = probs / probs.sum()
-        drawn = gen.choice(sizes, size=n_pairs, p=probs)
-        for row, s in zip(Z[2 * m :: 2], drawn):
-            row[gen.choice(m, size=int(s), replace=False)] = True
+        drawn = gen.choice(sizes, size=max((cfg.n_samples - 2 * m) // 2, 0), p=probs)
+        drawn = drawn[kernel[drawn] >= np.finfo(np.float64).eps * kernel[1]]
+    Z = np.zeros((2 * (m + drawn.size), m), dtype=bool)
+    Z[np.arange(0, 2 * m, 2), np.arange(m)] = True  # row 2j: singleton j
+    for row, s in zip(Z[2 * m :: 2], drawn):
+        row[gen.choice(m, size=int(s), replace=False)] = True
     Z[1::2] = ~Z[0::2]  # each row is followed by its complement
     return Z, kernel[Z.sum(axis=1)], cfg.ridge
 

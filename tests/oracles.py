@@ -224,12 +224,15 @@ def perturb(
     return out
 
 
-def coalitions_by_row(m: int, cfg, seed_index: int = 0):
+def coalitions_by_row(m: int, cfg, seed_index: int = 0, play_every_pair: bool = False):
     """Interior coalitions of an m-player game (m >= 2) and their kernel
     weights, one row and one ``shap_kernel_weight`` call at a time: every
     subset in ``combinations`` order when m <= ``cfg.exact_threshold``,
     otherwise the singletons and sampled subsets, each followed by its
-    complement. Returns (Z, w, ridge)."""
+    complement. A drawn pair whose weight is below float64 epsilon times a
+    singleton's gets no subset draw and no rows, unless ``play_every_pair``
+    asks for the earlier sampler that kept every drawn pair. Returns
+    (Z, w, ridge)."""
     rows, weights = [], []
     if m <= cfg.exact_threshold:
         for s in range(1, m):
@@ -257,11 +260,14 @@ def coalitions_by_row(m: int, cfg, seed_index: int = 0):
         n_pairs = max((cfg.n_samples - len(rows)) // 2, 0)
         drawn = gen.choice(sizes, size=n_pairs, p=probs)
         for s in drawn:
+            wk = shap_kernel_weight(m, int(s))
+            if wk < np.finfo(np.float64).eps * shap_kernel_weight(m, 1) and not play_every_pair:
+                continue
             subset = gen.choice(m, size=int(s), replace=False)
             row = np.zeros(m, dtype=bool)
             row[subset] = True
             rows.append(row)
-            weights.append(shap_kernel_weight(m, int(s)))
+            weights.append(wk)
             rows.append(~row)
             weights.append(shap_kernel_weight(m, m - int(s)))
     return np.array(rows), np.array(weights), cfg.ridge

@@ -656,6 +656,18 @@ class TestConfigHandling:
         assert f"train 'grid_{key}' must be" in err and "got ()" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value,shown", [(0.5, "0.5"), (None, "None"), ("ab", "'ab'")])
+    def test_grid_value_not_a_list_exit_2(self, tmp_path, capsys, value, shown):
+        """A grid value that is no list is named with its key and shown as
+        given, before it is converted."""
+        cfg_path, cfg = write_config(tmp_path)
+        cfg["train"] = {"max_epochs": 3, "grid": {"learning_rates": value}}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["synth", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: train grid 'learning_rates' must be a list, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_message_form(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, {"synth": {"n_patients": 30.5}})
         assert run(["synth", "--config", str(cfg_path)]) == 2

@@ -3,12 +3,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsxplain import itshap
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
     ExplainerConfig,
     _coalitions,
+    _solve_constrained,
     aggregate_by_class,
     background_matrix,
     cell_players,
@@ -549,6 +552,46 @@ class TestFastPathOracles:
         Zo, wo, ridge_o = coalitions_by_row(m, cfg, seed_index)
         assert Z.dtype == Zo.dtype and np.array_equal(Z, Zo)
         assert np.array_equal(w, wo) and ridge == ridge_o == cfg.ridge
+
+    @pytest.mark.parametrize("m", [30, 57])
+    @pytest.mark.parametrize("seed_index", [1, 14])
+    def test_no_pair_dropped_up_to_57_players(self, m, seed_index):
+        """Up to 57 players no pair size is below float64 resolution, so the
+        sampler's rows are those of the one that played every drawn pair."""
+        cfg = ExplainerConfig(exact_threshold=0, n_samples=1024, seed=5)
+        Z, w, _ = _coalitions(m, cfg, seed_index)
+        Zo, wo, _ = coalitions_by_row(m, cfg, seed_index, play_every_pair=True)
+        assert np.array_equal(Z, Zo) and np.array_equal(w, wo)
+
+    @pytest.mark.parametrize("m", [60, 120, 177])
+    def test_dropped_pairs_cannot_move_the_fit(self, m):
+        """On the draws of the sampler that played every pair, the rows below
+        float64 resolution change no attribution beyond rounding."""
+        cfg = ExplainerConfig(exact_threshold=0, n_samples=1024, seed=5)
+        Z, w, ridge = coalitions_by_row(m, cfg, 3, play_every_pair=True)
+        kept = w >= np.finfo(np.float64).eps * shap_kernel_weight(m, 1)
+        assert not kept.all()
+        gen = np.random.default_rng(m)
+        lin, pairs = gen.normal(size=m), gen.normal(size=(m, m)) / m
+
+        def value(Zb):
+            Zf = Zb.astype(float)
+            return np.tanh(Zf @ lin / 4 + np.einsum("ki,ij,kj->k", Zf, pairs, Zf))
+
+        empty = float(value(np.zeros((1, m), dtype=bool))[0])
+        full = float(value(np.ones((1, m), dtype=bool))[0])
+        v = value(Z)
+        every = _solve_constrained(Z, v, w, empty, full, ridge)
+        fit = _solve_constrained(Z[kept], v[kept], w[kept], empty, full, ridge)
+        assert np.abs(fit - every).max() <= 1e-12 * np.abs(every).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.one_of(st.integers(2, 200), st.just(176)), extra=st.integers(0, 2048))
+    def test_rows_above_resolution_within_budget(self, m, extra):
+        cfg = ExplainerConfig(exact_threshold=0, n_samples=m + 2 + extra)
+        Z, w, _ = _coalitions(m, cfg, 0)
+        assert np.all(w >= np.finfo(np.float64).eps * shap_kernel_weight(m, 1))
+        assert Z.shape[0] - 2 * m <= max(cfg.n_samples - 2 * m, 0)
 
     @pytest.mark.parametrize("mode", ["cell", "timestep"])
     def test_coalition_inputs(self, monkeypatch, mode):
