@@ -15,7 +15,6 @@ explained output exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -103,15 +102,6 @@ def shap_kernel_weight(players: int, coalition_size: int) -> float:
     return (m - 1) / (math.comb(m, s) * s * (m - s))
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_table(m: int) -> np.ndarray:
-    """Read-only kernel weights of an m-player game by coalition size 0..m;
-    a cohort has at most F x T player counts, so the cache stays small."""
-    kernel = np.array([shap_kernel_weight(m, s) for s in range(m + 1)])
-    kernel.flags.writeable = False
-    return kernel
-
-
 def _step_output(yhat: np.ndarray, explain_logit: bool) -> np.ndarray:
     """The explained quantity: the probability, or its clipped logit."""
     if explain_logit:
@@ -191,7 +181,7 @@ def _coalitions(
     bounds the sampled rows rather than counting them; no size is dropped
     for m <= 57.
     """
-    kernel = _kernel_table(m)
+    kernel = np.array([shap_kernel_weight(m, s) for s in range(m + 1)])
     if m <= cfg.exact_threshold:
         codes = np.arange(1, 2**m - 1)
         # player 0 is the most significant bit, so within one size the

@@ -32,15 +32,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     With e = exp(min(x, -x)), that is exp(-x) where x >= 0 and exp(x)
     elsewhere (``minimum`` returns x itself when x is nan), it is 1 / (1 + e)
     and e / (1 + e) respectively: the same expressions on the same operands,
-    hence the same bits, as the two-branch form. The numerator is
-    max(e, x >= 0): e <= 1, so it is 1 where x >= 0 and e elsewhere, and a
-    nan e stays nan.
+    hence the same bits, as the two-branch form.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0, out=np.empty_like(x))
+    out = np.where(x >= 0, 1.0, e)
     e += 1.0
     out /= e
     return out
