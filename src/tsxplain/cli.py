@@ -107,8 +107,8 @@ def _train_config(**fields) -> model_mod.TrainConfig:
     return cfg
 
 
-# the itshap keys only the CLI reads, and its one mode: timestep mode fills
-# only a step x step table, which no CLI artefact holds
+# the itshap keys only the CLI reads, and its one mode: the timestep game
+# fills no CLI artefact, so explain_patient plays cell-mode games only
 ITSHAP_KEYS = {"mode": one_of("cell"), "max_patients": integer(1), "steps": one_of("final", "all")}
 
 
@@ -170,6 +170,16 @@ def _load_cohort(s: Settings) -> data_mod.Cohort:
     return data_mod.load_cohort(s.cohort_csv, s.schema, T=s.T)
 
 
+def _split(cohort: data_mod.Cohort, s: Settings, seed: int):
+    """The (train, test) split of ``seed``: ``explain`` explains the test
+    patients of the model that ``train`` fitted on the train patients."""
+    return data_mod.split_train_test(cohort, s.train_fraction, RngStream(seed).child(100))
+
+
+def _checkpoint(s: Settings, variant: str, seed: int) -> Path:
+    return s.out / f"ckpt_{variant}_seed{seed}.txt"
+
+
 def save_heatmap_pgm(matrix: np.ndarray, path: Path) -> None:
     """Grayscale F x T heatmap as text PGM (P2) with a sidecar scale file."""
     lo = float(matrix.min())
@@ -211,14 +221,12 @@ def cmd_train(s: Settings, args) -> int:
 
     runs: dict[str, list[eval_mod.StepTable]] = {v: [] for v in variants}
     for seed in s.seeds:
-        train_c, test_c = data_mod.split_train_test(
-            cohort, s.train_fraction, RngStream(seed).child(100)
-        )
+        train_c, test_c = _split(cohort, s, seed)
         tcfg = dataclasses.replace(s.train, seed=seed)
         for variant in variants:
             trained = model_mod.train(train_c, tcfg, use_attention=(variant == "attention"))
             s.out.mkdir(parents=True, exist_ok=True)
-            model_mod.save_model(trained, s.out / f"ckpt_{variant}_seed{seed}.txt")
+            model_mod.save_model(trained, _checkpoint(s, variant, seed))
             table = eval_mod.evaluate(trained, test_c, s.threshold)
             header = ["metric", "t", "value"]
             data_mod.write_long_csv(s.out / f"run_{variant}_seed{seed}.csv", [header] + [
@@ -255,7 +263,7 @@ def cmd_explain(s: Settings, args) -> int:
         return 0
 
     variant = "attention" if method == "attention" or args.attention == "on" else "gru"
-    ckpt = out / f"ckpt_{variant}_seed{s.seeds[0]}.txt"
+    ckpt = _checkpoint(s, variant, s.seeds[0])
     if not ckpt.exists():
         raise DataError(f"checkpoint not found: {ckpt}; run train first")
     trained = model_mod.load_model(ckpt)
@@ -268,9 +276,7 @@ def cmd_explain(s: Settings, args) -> int:
         explained = cohort
         W = model_mod.attention_matrix(cohort.X * cohort.M, trained.attention)
     else:
-        train_c, test_c = data_mod.split_train_test(
-            cohort, s.train_fraction, RngStream(s.seeds[0]).child(100)
-        )
+        train_c, test_c = _split(cohort, s, s.seeds[0])
         explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))
         # an empty scope or too small a sample budget fails before any work;
         # a patient's largest game has the observed cells as its players
@@ -279,12 +285,14 @@ def cmd_explain(s: Settings, args) -> int:
         B = itshap_mod.background_matrix(train_c)
         W, base = np.zeros(explained.X.shape), np.zeros(explained.y.shape)
         for i, stay in enumerate(explained.stay.tolist()):
-            expl = itshap_mod.explain_patient(
-                trained, explained.X[i], explained.M[i], B, s.itshap,
-                stay_length=stay, steps=[stay] if s.steps == "final" else None,
+            W[i], base[i] = itshap_mod.explain_patient(
+                trained, explained.X[i], explained.M[i], B, s.itshap, stay,
+                all_steps=(s.steps == "all"),
             )
-            W[i], base[i] = expl.W, expl.base
 
+    # an overflow in the model turns into NaN attributions, not into an error
+    if not (np.isfinite(W).all() and (method != "itshap" or np.isfinite(base).all())):
+        raise FloatingPointError(f"{method} explanation has a non-finite value; nothing written")
     mean, counts = itshap_mod.aggregate_by_class(W, explained, scope)
     path = out / f"importance_{method}_{scope}.csv"
     itshap_mod.save_aggregate(mean, counts, scope, names, path)

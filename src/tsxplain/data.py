@@ -76,13 +76,6 @@ class PatientRecord:
     y: np.ndarray  # (T,) in {0, 1}
     stay_length: int
 
-    @property
-    def is_positive(self) -> bool:
-        return bool(self.y.any())
-
-    def valid_steps(self) -> np.ndarray:
-        return np.arange(self.y.shape[0]) < self.stay_length
-
 
 class Cohort:
     """Patients as the rows of one block per field: ``X`` and ``M`` (n, F, T),

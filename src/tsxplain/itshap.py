@@ -1,13 +1,15 @@
 """Post-hoc Shapley-value explainer for the masked temporal classifier.
 
-Each per-step output is treated as a coalition game: players are either
-whole time columns ("timestep" mode, the literal column-selection
-perturbation) or individual observed (feature, step) cells ("cell" mode,
-which yields full F x T attribution heatmaps). Deactivated players are
-replaced by a background matrix of training-cohort feature means. Small
-games are enumerated exactly; larger games use paired-complement coalition
-sampling with Shapley kernel weights and a ridge-stabilized weighted linear
-fit, which plays no pair whose weight is below float64 resolution. The two
+Each per-step output is treated as a coalition game whose players are the
+individual observed (feature, step) cells ("cell" mode, which yields full
+F x T attribution heatmaps). ``explain_step`` also plays, for library use,
+the game whose players are whole time columns ("timestep" mode, the literal
+column-selection perturbation); ``explain_patient``, which the CLI calls,
+plays cell-mode games only. Deactivated players are replaced by a
+background matrix of training-cohort feature means. Small games are
+enumerated exactly; larger games use paired-complement coalition sampling
+with Shapley kernel weights and a ridge-stabilized weighted linear fit,
+which plays no pair whose weight is below float64 resolution. The two
 degenerate coalitions (empty/full) enter as exactness constraints, so the
 base value equals the background output and the attributions sum to the
 explained output exactly.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,13 +54,6 @@ class StepExplanation:
     base: float  # model output with every player deactivated
     players: tuple
     output: float  # model output with every player active
-
-
-@dataclass
-class ImportanceMatrix:
-    W: np.ndarray  # (F, T); aggregation reads only valid (observed, in-stay) cells
-    base: np.ndarray  # (T,) per explained output step
-    step_table: Optional[np.ndarray] = None  # (T, T) lower-triangular, timestep mode
 
 
 def background_matrix(train: Cohort) -> np.ndarray:
@@ -144,12 +138,9 @@ def _evaluate_coalitions(
 def _solve_constrained(
     Z: np.ndarray, v: np.ndarray, w: np.ndarray, v0: float, fx: float, ridge: float
 ) -> np.ndarray:
-    """Weighted linear fit with g(0)=v0 and g(1)=fx eliminated by
-    substituting the last attribution."""
-    m = Z.shape[1]
+    """Weighted linear fit of an m-player game (m >= 2) with g(0)=v0 and
+    g(1)=fx eliminated by substituting the last attribution."""
     total = fx - v0
-    if m == 1:
-        return np.array([total])
     zf = Z.astype(np.float64)
     targets = v - v0 - zf[:, -1] * total
     design = zf[:, :-1] - zf[:, -1:]
@@ -263,57 +254,33 @@ def explain_patient(
     M: np.ndarray,
     B: np.ndarray,
     cfg: ExplainerConfig,
-    stay_length: Optional[int] = None,
-    steps: Optional[Sequence[int]] = None,
-) -> ImportanceMatrix:
-    """Explain each requested valid output step. In cell mode only the final
-    explained step's game is played: it gives the F x T attribution matrix,
-    and the base values of the earlier steps come from one forward over the
-    background-filled stay. In timestep mode every step's game is played and
-    a lower-triangular step-attribution table is stored instead."""
-    X = np.asarray(X, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
+    stay_length: int,
+    all_steps: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-mode IT-SHAP of one patient: the (F, T) attributions of the
+    output at the stay's final step, the one game played, and the (T,) base
+    values, at that step or, with ``all_steps``, at every step of the stay.
+    Steps beyond the stay keep zeros."""
+    if cfg.mode != "cell":
+        raise ConfigError(f"explain_patient plays cell-mode games, got mode {cfg.mode!r}")
     F, T = X.shape
-    if stay_length is None:
-        nonzero = np.flatnonzero(M.any(axis=0))
-        if nonzero.size == 0:
-            raise DataError("mask is empty; pass stay_length explicitly")
-        stay_length = int(nonzero[-1]) + 1
-    if steps is None:
-        steps = list(range(1, stay_length + 1))
-    steps = sorted(set(int(t) for t in steps))
-    if not steps:
-        raise DataError("no steps to explain")
-    if any(t < 1 or t > stay_length for t in steps):
-        raise DataError("explained steps must lie within the patient's stay")
-
-    W = np.zeros((F, T))
-    base = np.zeros(T)
-    table = None
-    if cfg.mode == "timestep":
-        check_budget(steps[-1], cfg)  # the games grow with t: fail before the first
-        table = np.zeros((T, T))
-        for t in steps:
-            res = explain_step(model, X, M, t, B, cfg)
-            base[t - 1] = res.base
-            for j, tau in enumerate(res.players):
-                table[t - 1, tau] = res.weights[j]
-    else:
-        res = explain_step(model, X, M, steps[-1], B, cfg)
-        base[steps[-1] - 1] = res.base
-        for j, (f, tau) in enumerate(res.players):
-            W[f, tau] = res.weights[j]
-        if len(steps) > 1:
-            # The model is causal (per-column attention, in-order GRU): the
-            # empty coalition of step t, with every observed cell up to t set
-            # to B, has at t the value that one forward with every observed
-            # cell set to B has at t. Both are one-row forwards of the same
-            # shape, so the values agree bit for bit.
-            background = np.where(M == 1.0, B, X * M)
-            yhat = forward_prepared(background[None], model.gru, model.attention)[0]
-            earlier = np.array(steps[:-1]) - 1
-            base[earlier] = _step_output(yhat, cfg.explain_logit)[earlier]
-    return ImportanceMatrix(W=W, base=base, step_table=table)
+    if not 1 <= stay_length <= T:
+        raise DataError(f"stay_length {stay_length} out of 1..{T}")
+    W, base = np.zeros((F, T)), np.zeros(T)
+    res = explain_step(model, X, M, stay_length, B, cfg)
+    base[stay_length - 1] = res.base
+    for j, (f, tau) in enumerate(res.players):
+        W[f, tau] = res.weights[j]
+    if all_steps and stay_length > 1:
+        # The model is causal (per-column attention, in-order GRU): the
+        # empty coalition of step t, with every observed cell up to t set
+        # to B, has at t the value that one forward with every observed
+        # cell set to B has at t. Both are one-row forwards of the same
+        # shape, so the values agree bit for bit.
+        background = np.where(M == 1.0, B, X * M)
+        yhat = forward_prepared(background[None], model.gru, model.attention)[0]
+        base[: stay_length - 1] = _step_output(yhat, cfg.explain_logit)[: stay_length - 1]
+    return W, base
 
 
 def aggregate_by_class(

@@ -39,7 +39,6 @@ from tsxplain.data import (
 )
 from tsxplain.errors import ConfigError, DataError, SchemaError, ShapeError
 from tsxplain.itshap import (
-    ImportanceMatrix,
     _solve_constrained,
     cell_players,
     shap_kernel_weight,
@@ -316,28 +315,21 @@ def explain_step_game(model, X, M, t, B, cfg):
     return phi, empty, players, full
 
 
-def explain_patient_every_step(model, X, M, B, cfg, stay_length, steps=None):
-    """IT-SHAP over a stay playing every requested step's full game: cell
-    mode keeps the final step's attributions and every step's base value,
-    timestep mode keeps every game in the step table."""
+def explain_patient_every_step(model, X, M, B, cfg, stay_length, all_steps=False):
+    """Cell-mode IT-SHAP over a stay playing the full game of the final step
+    and, with ``all_steps``, of every earlier step too: (W, base) with the
+    final step's attributions and each played step's base value."""
     X = np.asarray(X, dtype=np.float64)
     M = np.asarray(M, dtype=np.float64)
     F, T = X.shape
-    if steps is None:
-        steps = range(1, stay_length + 1)
-    steps = sorted(set(int(t) for t in steps))
     W = np.zeros((F, T))
     base = np.zeros(T)
-    table = np.zeros((T, T)) if cfg.mode == "timestep" else None
-    for t in steps:
+    for t in range(1 if all_steps else stay_length, stay_length + 1):
         weights, base[t - 1], players, _ = explain_step_game(model, X, M, t, B, cfg)
-        if cfg.mode == "timestep":
-            for j, tau in enumerate(players):
-                table[t - 1, tau] = weights[j]
-        elif t == steps[-1]:
+        if t == stay_length:
             for j, (f, tau) in enumerate(players):
                 W[f, tau] = weights[j]
-    return ImportanceMatrix(W=W, base=base, step_table=table)
+    return W, base
 
 
 def aggregate_by_patient(W, cohort, scope):

@@ -156,12 +156,12 @@ def test_criterion_03_mask_neutrality(capsys):
     B = background_matrix(cohort)
     shap_dev = 0.0
     for i, p in enumerate(cohort.patients):
-        ea = explain_patient(model, X[i], M[i], B, ExplainerConfig(),
-                             stay_length=p.stay_length)
-        eb = explain_patient(model, X2[i], M[i], B, ExplainerConfig(),
-                             stay_length=p.stay_length)
-        shap_dev = max(shap_dev, float(np.abs(ea.W - eb.W).max()),
-                       float(np.abs(ea.base - eb.base).max()))
+        Wa, base_a = explain_patient(model, X[i], M[i], B, ExplainerConfig(),
+                                     p.stay_length, all_steps=True)
+        Wb, base_b = explain_patient(model, X2[i], M[i], B, ExplainerConfig(),
+                                     p.stay_length, all_steps=True)
+        shap_dev = max(shap_dev, float(np.abs(Wa - Wb).max()),
+                       float(np.abs(base_a - base_b).max()))
 
     ok = forward_exact and grad_dev <= 1e-12 and cmi_dev <= 1e-12 and shap_dev <= 1e-12
     report(
@@ -395,16 +395,13 @@ def test_criterion_09_signal_recovery(capsys):
 
         # cell-mode Shapley attributions over explained positive patients
         B = background_matrix(train_c)
-        positives = [p for p in test_c.patients if p.is_positive][:25]
+        positives = test_c.subset(np.flatnonzero(test_c.y.any(axis=1))[:25])
         xcfg = ExplainerConfig(n_samples=1024, seed=seed)
         expls = np.array([
-            explain_patient(model, p.X, p.M, B, xcfg,
-                            stay_length=p.stay_length,
-                            steps=[p.stay_length]).W
-            for p in positives
+            explain_patient(model, positives.X[i], positives.M[i], B, xcfg, stay)[0]
+            for i, stay in enumerate(positives.stay.tolist())
         ])
-        sub = Cohort(schema, positives, cohort.T)
-        shap_W, _ = aggregate_by_class(expls, sub, "positive")
+        shap_W, _ = aggregate_by_class(expls, positives, "positive")
         for t in steps:
             med = np.median(np.abs(shap_W[null_idx, t]))
             shap_ok &= all(abs(shap_W[f, t]) > med for f in planted_idx)

@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsxplain import cli, model
+from tsxplain import data as data_mod
 from tsxplain import evaluation as eval_mod
 from tsxplain import itshap as itshap_mod
 from tsxplain.cmi import MIN_VALID_SAMPLES, CmiConfig
@@ -93,7 +98,7 @@ class TestSynth:
         run(["synth", "--config", str(cfg_path)])
         out = tmp_path / "out"
         cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
-        assert not any(p.is_positive for p in cohort.patients)
+        assert not cohort.y.any()
 
     def test_without_synth_section_exit_2_leaves_no_out_dir(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -271,8 +276,9 @@ class TestExplain:
         assert rows[0] == ["feature", "t", "attribution", "n_valid", "scope"]
         assert {r[4] for r in rows[1:]} == {"negative"}
         cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
-        negatives = [p for p in cohort.patients if not p.is_positive]
-        expected = sum(p.M * p.valid_steps()[None, :] for p in negatives)
+        _, M, y, valid = cohort.stacked()
+        negative = ~y.any(axis=1)
+        expected = (M * valid[:, None, :])[negative].sum(axis=0)
         assert [int(r[3]) for r in rows[1:]] == [int(v) for v in expected.ravel()]
 
     def test_attention_on_plain_checkpoint_exit_2(self, tmp_path):
@@ -410,6 +416,33 @@ class TestExplain:
         err = capsys.readouterr().err
         assert "non-finite value in array W_out" in err and "Traceback" not in err
         assert not list(out.glob("*itshap*"))
+
+    def test_itshap_non_finite_exit_4_writes_nothing(self, prepared):
+        """Loadable values so large that the model overflows make NaN
+        attributions; explain exits 4 before it writes any of them. It runs
+        in a new process, where an overflow warns instead of raising."""
+        cfg_path, out = prepared
+        cfg = json.loads(cfg_path.read_text())
+        cfg["itshap"] = {"max_patients": 3, "n_samples": 256}
+        cfg_path.write_text(json.dumps(cfg))
+        with open(out / "cohort.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        env = [i for i, name in enumerate(rows[0]) if name.startswith("env_")]
+        for row in rows[1:]:
+            for i in env:
+                row[i] = row[i] and "1.7e308"
+        data_mod.write_long_csv(out / "cohort.csv", rows)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "tsxplain.cli", "explain", "--config", str(cfg_path),
+             "--method", "itshap"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 4, done.stderr
+        assert "itshap explanation has a non-finite value" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not list(out.glob("importance_itshap_*"))
+        assert not list(out.glob("attributions_itshap_*"))
 
     def test_schema_duplicate_key_exit_3(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path)

@@ -195,7 +195,8 @@ class TestSubset:
             X, M, y, valid = cohort.stacked()
             assert X is cohort.X and M is cohort.M and y is cohort.y
             assert np.shares_memory(cohort.patients[0].X, X)
-            assert np.array_equal(valid, [p.valid_steps() for p in cohort.patients])
+            assert np.array_equal(valid, [np.arange(cohort.T) < p.stay_length
+                                          for p in cohort.patients])
 
     def test_empty_cohort_blocks(self):
         X, M, y, valid = Cohort(small_schema(), [], T=6).stacked()
@@ -238,7 +239,7 @@ class TestSplits:
     def test_split_stratified(self, rng):
         c = toy_cohort([(1, 3)] * 4 + [(None, 3)] * 6)
         tr, te = split_train_test(c, 0.7, rng)
-        assert sum(p.is_positive for p in te.patients) == 1
+        assert te.y.any(axis=1).sum() == 1
 
     def test_split_deterministic(self):
         c = toy_cohort([(1, 3)] * 4 + [(None, 3)] * 6)
@@ -268,7 +269,7 @@ class TestSplits:
     def test_kfold_stratified(self, rng):
         c = toy_cohort([(1, 3)] * 6 + [(None, 3)] * 6)
         for _, va in kfold(c, 3, rng):
-            assert sum(p.is_positive for p in va.patients) == 2
+            assert va.y.any(axis=1).sum() == 2
 
     def test_kfold_deterministic(self):
         c = toy_cohort([(1, 3)] * 5 + [(None, 3)] * 5)
@@ -288,7 +289,7 @@ class TestSynth:
     def test_class_fraction_near_target(self):
         cfg = SynthConfig(n_patients=2000, mdr_fraction=0.15, seed=11)
         c = synth_cohort(cfg)
-        frac = np.mean([p.is_positive for p in c.patients])
+        frac = c.y.any(axis=1).mean()
         assert abs(frac - 0.15) < 0.04
 
     def test_seed_reproducible(self):
@@ -329,7 +330,7 @@ class TestSynth:
 
     def test_zero_fraction_all_negative(self):
         c = synth_cohort(SynthConfig(n_patients=60, mdr_fraction=0.0, seed=5))
-        assert not any(p.is_positive for p in c.patients)
+        assert not c.y.any()
 
     def test_planted_features_are_previous_culture(self):
         cfg = SynthConfig(n_patients=1)

@@ -32,6 +32,7 @@ from oracles import (
     coalition_inputs_by_player,
     coalitions_by_row,
     explain_patient_every_step,
+    explain_step_game,
     perturb,
 )
 
@@ -356,52 +357,22 @@ class TestExplainModel:
         B = gen.normal(size=(3, 5)) * 0.1
         X2 = X.copy()
         X2[M == 0.0] = 1e6
-        a = explain_patient(model, X, M, B, ExplainerConfig(), stay_length=5)
-        b = explain_patient(model, X2, M, B, ExplainerConfig(), stay_length=5)
-        assert np.array_equal(a.W, b.W)
-        assert np.array_equal(a.base, b.base)
+        Wa, base_a = explain_patient(model, X, M, B, ExplainerConfig(), 5, all_steps=True)
+        Wb, base_b = explain_patient(model, X2, M, B, ExplainerConfig(), 5, all_steps=True)
+        assert np.array_equal(Wa, Wb)
+        assert np.array_equal(base_a, base_b)
 
-    def test_timestep_mode_table(self):
-        model = make_model(F=2, H=3, seed=5)
-        gen = RngStream(13).generator()
-        X = gen.normal(size=(2, 4))
-        M = np.ones((2, 4))
-        B = np.zeros((2, 4))
-        cfg = ExplainerConfig(mode="timestep")
-        res = explain_patient(model, X, M, B, cfg, stay_length=4)
-        table = res.step_table
-        assert table is not None
-        # lower-triangular: the step-t game has players 0..t-1 only
-        for t in range(4):
-            assert not table[t, t + 1:].any()
-            assert table[t, : t + 1].any()
-        assert not res.W.any()
-
-    @pytest.mark.parametrize("mode", ["cell", "timestep"])
-    def test_empty_step_list_rejected(self, mode):
+    def test_timestep_config_or_stay_outside_1_to_T_rejected(self, monkeypatch):
         model = make_model(F=2, H=3, seed=6)
-        with pytest.raises(DataError, match="no steps to explain"):
-            explain_patient(model, np.ones((2, 4)), np.ones((2, 4)), np.zeros((2, 4)),
-                            ExplainerConfig(mode=mode), stay_length=3, steps=[])
-
-    def test_timestep_budget_checked_before_the_first_game(self, monkeypatch):
-        model = make_model(F=3, H=4, seed=6)
         played = []
         monkeypatch.setattr(itshap, "explain_step", lambda *a, **k: played.append(a))
-        cfg = ExplainerConfig(mode="timestep", exact_threshold=4, n_samples=16)
-        with pytest.raises(ConfigError, match="too small for 20 players"):
-            explain_patient(model, np.ones((3, 20)), np.ones((3, 20)), np.zeros((3, 20)), cfg)
+        X, M, B = np.ones((2, 4)), np.ones((2, 4)), np.zeros((2, 4))
+        with pytest.raises(ConfigError, match="cell-mode games, got mode 'timestep'"):
+            explain_patient(model, X, M, B, ExplainerConfig(mode="timestep"), 3)
+        for stay in (0, 5):
+            with pytest.raises(DataError, match=f"stay_length {stay} out of 1..4"):
+                explain_patient(model, X, M, B, ExplainerConfig(), stay)
         assert played == []
-
-    def test_steps_outside_stay_rejected(self):
-        model = make_model(F=2, H=3, seed=6)
-        X = np.ones((2, 4))
-        M = np.ones((2, 4))
-        with pytest.raises(DataError):
-            explain_patient(
-                model, X, M, np.zeros((2, 4)), ExplainerConfig(),
-                stay_length=3, steps=[4],
-            )
 
 
 class TestAggregate:
@@ -520,17 +491,23 @@ class TestFastPathOracles:
                               **self.REGIMES[regime])
         B = RngStream(12).generator().normal(size=(3, 6)) * 0.3
         for X, M, stay in _short_stays(3, 6, seed=13):
-            for steps in (None, [stay], sorted({1, (stay + 1) // 2, stay})):
-                got = explain_patient(model, X, M, B, cfg, stay_length=stay,
-                                      steps=steps)
-                want = explain_patient_every_step(model, X, M, B, cfg, stay,
-                                                  steps=steps)
-                assert np.array_equal(got.W, want.W)
-                assert np.array_equal(got.base, want.base)
-                if mode == "timestep":
-                    assert np.array_equal(got.step_table, want.step_table)
-                else:
-                    assert got.step_table is None
+            if mode == "timestep":
+                # explain_patient plays cell games only; each step's timestep
+                # game is explain_step's, for library use
+                with pytest.raises(ConfigError):
+                    explain_patient(model, X, M, B, cfg, stay)
+                for t in range(1, stay + 1):
+                    got = explain_step(model, X, M, t, B, cfg)
+                    weights, base, players, output = explain_step_game(model, X, M, t, B, cfg)
+                    assert np.array_equal(got.weights, weights) and got.players == players
+                    assert got.base == base and got.output == output
+                continue
+            for all_steps in (False, True):
+                W, base = explain_patient(model, X, M, B, cfg, stay, all_steps)
+                want_W, want_base = explain_patient_every_step(model, X, M, B, cfg, stay,
+                                                               all_steps)
+                assert np.array_equal(W, want_W)
+                assert np.array_equal(base, want_base)
 
     @pytest.mark.parametrize("m", range(2, 15))
     def test_exact_coalitions(self, m):
@@ -613,8 +590,9 @@ class TestFastPathOracles:
                 want = coalition_inputs_by_player(X, M, stay, B, res.players, mode, Z)
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("mode,games", [("cell", 1), ("timestep", 5)])
-    def test_games_played(self, monkeypatch, mode, games):
+    @pytest.mark.parametrize("all_steps", [False, True])
+    def test_games_played(self, monkeypatch, all_steps):
+        """Only the final step's game is played, also for every step's base."""
         played = []
 
         def counting_step(*args):
@@ -624,6 +602,5 @@ class TestFastPathOracles:
         monkeypatch.setattr(itshap, "explain_step", counting_step)
         model = make_model(F=3, H=4, seed=17)
         X, M, stay = _short_stays(3, 6, seed=18)[4]
-        explain_patient(model, X, M, np.zeros((3, 6)), ExplainerConfig(mode=mode),
-                        stay_length=stay)
-        assert played == list(range(1, stay + 1))[-games:]
+        explain_patient(model, X, M, np.zeros((3, 6)), ExplainerConfig(), stay, all_steps)
+        assert played == [stay]
