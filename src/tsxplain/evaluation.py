@@ -166,7 +166,8 @@ def save_metric_series(series: dict[str, MetricSeries], path) -> None:
 
 def load_metric_series(path) -> dict[str, MetricSeries]:
     """Read what ``save_metric_series`` writes. A wrong header is a
-    SchemaError; a malformed row, an unknown metric, a non-finite number,
+    SchemaError; a malformed row, an unknown metric, a non-finite number, a
+    mean outside [0, 1] or a negative std (every metric is a proportion),
     or steps of a metric that are not 1..T once each raise DataError."""
     columns = read_long_csv(path, ["metric", "t", "mean", "std", "n_defined"])
     rows: dict[str, list] = {m: [] for m in METRICS}
@@ -181,6 +182,8 @@ def load_metric_series(path) -> dict[str, MetricSeries]:
             raise DataError(f"{where}: {exc}") from exc
         if n_def < 0 or (mean is not None and not (math.isfinite(mean) and math.isfinite(std))):
             raise DataError(f"{where}: n_defined must be >= 0 and mean and std finite")
+        if mean is not None and not (0.0 <= mean <= 1.0 and std >= 0.0):
+            raise DataError(f"{where}: mean must be in [0, 1] and std >= 0")
         rows[m].append((t, mean, std, n_def))
     out = {}
     for m, entries in rows.items():

@@ -12,7 +12,10 @@ with Shapley kernel weights and a ridge-stabilized weighted linear fit,
 which plays no pair whose weight is below float64 resolution. The two
 degenerate coalitions (empty/full) enter as exactness constraints, so the
 base value equals the background output and the attributions sum to the
-explained output exactly.
+explained output exactly. A game assembles and forwards its coalition rows
+in blocks of at most ``COALITION_BLOCK``, with the bits of one forward over
+them all, so the model's inputs and activations take memory bounded by the
+block; the fit's (K, m) design still grows with the K rows.
 """
 
 from __future__ import annotations
@@ -104,6 +107,24 @@ def _step_output(yhat: np.ndarray, explain_logit: bool) -> np.ndarray:
     return yhat
 
 
+# Coalition rows assembled and forwarded at once: a game's inputs take at most
+# this many rows of memory, however many rows the game plays
+COALITION_BLOCK = 1024
+
+
+def _blocks(K: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of at most ``COALITION_BLOCK`` rows that cover
+    0..K in order, and that give each row the bits of one forward over all K.
+    BLAS computes a matmul's rows in tiles and a batch's last few rows with
+    other kernels, so every block starts at a multiple of half a block. numpy
+    sends a one-row matmul down yet another path, so a last block of one row
+    takes half a block's rows from the block before it."""
+    stops = list(range(COALITION_BLOCK, K, COALITION_BLOCK)) + [K]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        stops[-2] -= COALITION_BLOCK // 2
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _evaluate_coalitions(
     model: TrainedModel,
     X: np.ndarray,
@@ -116,22 +137,26 @@ def _evaluate_coalitions(
     explain_logit: bool,
 ) -> np.ndarray:
     """Vectorized game evaluation: returns the output at step t for each
-    coalition row of Z."""
+    coalition row of Z, forwarding one block of rows at a time."""
     K, m = Z.shape
     F, T = X.shape
     masked = (X * M)[:, :t]
-    inputs = np.zeros((K, F, T))
-    if mode == "timestep":
-        zcols = np.zeros((K, t), dtype=bool)
-        zcols[:, list(players)] = Z
-        inputs[:, :, :t] = np.where(zcols[:, None, :], masked[None], B[None, :, :t])
-    else:
-        inputs[:, :, :t] = masked[None]
+    if mode == "cell":
         f_idx, tau_idx = np.array(players, dtype=np.intp).reshape(m, 2).T
-        inputs[:, f_idx, tau_idx] = np.where(
-            Z, masked[f_idx, tau_idx], B[f_idx, tau_idx]
-        )
-    yhat = forward_prepared(inputs, model.gru, model.attention)[:, t - 1]
+    yhat = np.empty(K)
+    for start, stop in _blocks(K):
+        Zb = Z[start:stop]
+        inputs = np.zeros((stop - start, F, T))
+        if mode == "timestep":
+            zcols = np.zeros((stop - start, t), dtype=bool)
+            zcols[:, list(players)] = Zb
+            inputs[:, :, :t] = np.where(zcols[:, None, :], masked[None], B[None, :, :t])
+        else:
+            inputs[:, :, :t] = masked[None]
+            inputs[:, f_idx, tau_idx] = np.where(
+                Zb, masked[f_idx, tau_idx], B[f_idx, tau_idx]
+            )
+        yhat[start:stop] = forward_prepared(inputs, model.gru, model.attention)[:, t - 1]
     return _step_output(yhat, explain_logit)
 
 

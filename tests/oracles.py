@@ -3,15 +3,16 @@ two-branch sigmoid, one GRU step on a single column, forward and BPTT with
 per-step concatenation and per-step gradient accumulation, the attention
 pre-activation and weight gradient as the einsums the kernel replaced, coalition
 perturbation one player at a time, IT-SHAP with coalitions built one row at
-a time and a full game played for every explained step, CMI screening that
-gathers each (feature, step) cell's samples patient by patient and codes
-joint alphabets with ``np.unique(axis=0)``, and central-difference
-gradients, average ranks found by walking tied runs, a cohort CSV reader
-that groups rows by patient and parses one cell at a time, a cohort CSV
-writer that formats one patient record's cells one at a time, a synthetic
-cohort generator that builds one patient record at a time, a training
-loop that runs each grid point × fold fit on its own, and a scope average
-that adds each patient's importance matrix on its own."""
+a time, each game's rows forwarded in one whole batch and a full game played
+for every explained step, CMI screening that gathers each (feature, step)
+cell's samples patient by patient and codes joint alphabets with
+``np.unique(axis=0)``, and central-difference gradients, average ranks
+found by walking tied runs, a cohort CSV reader that groups rows by patient
+and parses one cell at a time, a cohort CSV writer that formats one patient
+record's cells one at a time, a synthetic cohort generator that builds one
+patient record at a time, a training loop that runs each grid point × fold
+fit on its own, and a scope average that adds each patient's importance
+matrix on its own."""
 
 import copy
 import csv
@@ -291,17 +292,24 @@ def coalition_inputs_by_player(X, M, t, B, players, mode, Z) -> np.ndarray:
     return inputs
 
 
+def evaluate_coalitions_whole_batch(model, X, M, t, B, players, mode, Z, explain_logit):
+    """The output at step t (or its clipped logit) of every coalition row of
+    Z, from one forward over the inputs of all its rows at once."""
+    inputs = coalition_inputs_by_player(X, M, t, B, players, mode, Z)
+    yhat = forward_prepared(inputs, model.gru, model.attention)[:, t - 1]
+    if explain_logit:
+        p = np.clip(yhat, 1e-12, 1.0 - 1e-12)
+        return np.log(p / (1.0 - p))
+    return yhat
+
+
 def explain_step_game(model, X, M, t, B, cfg):
     """The full coalition game of step t: (weights, base, players, output)."""
     players = timestep_players(t) if cfg.mode == "timestep" else cell_players(M, t)
 
     def value(Z):
-        inputs = coalition_inputs_by_player(X, M, t, B, players, cfg.mode, Z)
-        yhat = forward_prepared(inputs, model.gru, model.attention)[:, t - 1]
-        if cfg.explain_logit:
-            p = np.clip(yhat, 1e-12, 1.0 - 1e-12)
-            return np.log(p / (1.0 - p))
-        return yhat
+        return evaluate_coalitions_whole_batch(model, X, M, t, B, players, cfg.mode, Z,
+                                               cfg.explain_logit)
 
     m = len(players)
     full = float(value(np.ones((1, m), dtype=bool))[0])

@@ -419,8 +419,9 @@ class TestExplain:
 
     def test_itshap_non_finite_exit_4_writes_nothing(self, prepared):
         """Loadable values so large that the model overflows make NaN
-        attributions; explain exits 4 before it writes any of them. It runs
-        in a new process, where an overflow warns instead of raising."""
+        attributions; explain exits 4 before it writes any of them, and its
+        one stderr line is the report. It runs in a new process, where an
+        unsilenced overflow would warn instead of raising."""
         cfg_path, out = prepared
         cfg = json.loads(cfg_path.read_text())
         cfg["itshap"] = {"max_patients": 3, "n_samples": 256}
@@ -439,8 +440,8 @@ class TestExplain:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert done.returncode == 4, done.stderr
-        assert "itshap explanation has a non-finite value" in done.stderr
-        assert "Traceback" not in done.stderr
+        assert done.stderr == ("runtime error: itshap explanation has a non-finite value; "
+                               "nothing written\n")
         assert not list(out.glob("importance_itshap_*"))
         assert not list(out.glob("attributions_itshap_*"))
 
@@ -559,6 +560,24 @@ class TestReport:
         assert run(["report", "--config", str(cfg_path)]) == 0
         assert "nan" not in (out / "delta_report.csv").read_text()
 
+    def test_overflowing_means_exit_3(self, tmp_path, capsys):
+        """Means at the float64 maximum, of opposite signs, would overflow
+        every delta to inf; they are no proportions, so report refuses them."""
+        cfg_path, out = write_metrics(tmp_path)
+        for variant, value in (("gru", "1.7e308"), ("attention", "-1.7e308")):
+            path = out / f"metrics_{variant}.csv"
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            for row in rows[1:]:
+                row[2] = row[2] and value
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["report", "--config", str(cfg_path)]) == 3
+        assert "mean must be in [0, 1]" in capsys.readouterr().err
+        assert not (out / "delta_report.csv").exists()
+        assert not (out / "report_summary.txt").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda rows: rows[1].__setitem__(0, "auroc"),  # unknown metric
         lambda rows: rows[1].__setitem__(1, "-3"),
@@ -576,6 +595,9 @@ class TestReport:
         lambda rows: rows.__setitem__(0, ["metric", "t", "value"]),  # header
         lambda rows: rows.__delitem__(slice(None)),  # empty file
         lambda rows: rows.__delitem__(slice(7, None)),  # specificity missing
+        lambda rows: rows[1].__setitem__(2, "1.0000001"),  # a proportion above 1
+        lambda rows: rows[1].__setitem__(2, "-0.1"),
+        lambda rows: rows[1].__setitem__(3, "-0.2"),  # negative std
     ])
     def test_malformed_metrics_exit_3(self, tmp_path, capsys, edit):
         cfg_path, out = write_metrics(tmp_path)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tsxplain.data import (
+    WRITE_BLOCK,
     Cohort,
     FeatureDescriptor,
     FeatureSchema,
@@ -427,6 +428,24 @@ class TestCohortIo:
             save_cohort_by_patient(cohort, d / "d0.csv", d / "s0.txt")
             assert (d / "d.csv").read_bytes() == (d / "d0.csv").read_bytes()
             assert (d / "s.txt").read_bytes() == (d / "s0.txt").read_bytes()
+
+    def test_writer_blocks_match_record_oracle_bytewise(self, tmp_path):
+        """Patients on both sides of each block edge, with the cells an int64
+        or a short repr would get wrong, come out as the oracle writes them."""
+        n, F, T = 2 * WRITE_BLOCK + 3, 3, 5
+        gen = np.random.default_rng(9)
+        special = np.array([0.0, -0.0, 2.0**53 + 1, 2.0**63, -(2.0**63), 2.0**64,
+                            -1e300, 5e-324, 3.0, -7.0, 0.1])
+        X = np.where(gen.random((n, F, T)) < 0.5, gen.choice(special, (n, F, T)),
+                     gen.normal(scale=1e3, size=(n, F, T)))
+        M = (gen.random((n, F, T)) < 0.7).astype(float)
+        y = (gen.random((n, T)) < 0.3).astype(float)
+        stay = gen.integers(1, T + 1, n)
+        c = Cohort.from_blocks(small_schema(F), T, X, M, y, stay,
+                               np.array([f"p{i}" for i in range(n)], dtype=object))
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        save_cohort_by_patient(c, tmp_path / "d0.csv", tmp_path / "s0.txt")
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d0.csv").read_bytes()
 
     def test_writer_memory_does_not_grow_with_patients(self, tmp_path):
         """The file streams out a patient at a time: four times the patients

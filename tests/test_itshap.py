@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tsxplain import itshap
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
+    COALITION_BLOCK,
     ExplainerConfig,
     _coalitions,
     _solve_constrained,
@@ -31,6 +33,7 @@ from oracles import (
     aggregate_by_patient,
     coalition_inputs_by_player,
     coalitions_by_row,
+    evaluate_coalitions_whole_batch,
     explain_patient_every_step,
     explain_step_game,
     perturb,
@@ -604,3 +607,101 @@ class TestFastPathOracles:
         X, M, stay = _short_stays(3, 6, seed=18)[4]
         explain_patient(model, X, M, np.zeros((3, 6)), ExplainerConfig(), stay, all_steps)
         assert played == [stay]
+
+
+def _game_with(m, mode, F, T, seed):
+    """(X, M, t) of a patient whose step-t game has m players: m observed
+    cells over T steps in cell mode, m steps in timestep mode."""
+    gen = RngStream(seed).generator()
+    X = gen.normal(size=(F, T))
+    if mode == "timestep":
+        return X, (gen.random((F, T)) < 0.7).astype(float), m
+    M = np.zeros((F, T))
+    M.flat[gen.choice(F * T, m, replace=False)] = 1.0
+    return X, M, T
+
+
+class TestCoalitionBlocks:
+    """A game forwards its coalition rows in blocks of at most
+    ``COALITION_BLOCK``; it must agree bit for bit with the whole-batch
+    evaluation in ``oracles``, and its memory must not grow with its rows."""
+
+    @pytest.mark.parametrize("explain_logit", [False, True])
+    @pytest.mark.parametrize("use_attention", [False, True])
+    @pytest.mark.parametrize("mode", ["cell", "timestep"])
+    def test_exact_games(self, mode, use_attention, explain_logit):
+        F, T = 3, (6 if mode == "cell" else 16)  # 18 cells, or 16 steps
+        model = make_model(F=F, H=4, seed=21, use_attention=use_attention)
+        B = RngStream(22).generator().normal(size=(F, T)) * 0.3
+        cfg = ExplainerConfig(mode=mode, exact_threshold=16, explain_logit=explain_logit)
+        for m in range(2, 17):  # 2 to 65,534 rows
+            X, M, t = _game_with(m, mode, F, T, seed=m)
+            got = explain_step(model, X, M, t, B, cfg)
+            weights, base, players, output = explain_step_game(model, X, M, t, B, cfg)
+            assert len(players) == m
+            assert np.array_equal(got.weights, weights) and got.players == players
+            assert got.base == base and got.output == output
+
+    @pytest.mark.parametrize("n_samples", [2048, 4096])
+    @pytest.mark.parametrize("explain_logit", [False, True])
+    @pytest.mark.parametrize("use_attention", [False, True])
+    @pytest.mark.parametrize("mode", ["cell", "timestep"])
+    def test_sampled_games(self, mode, use_attention, explain_logit, n_samples):
+        F, T = 3, 16
+        model = make_model(F=F, H=4, seed=21, use_attention=use_attention)
+        B = RngStream(22).generator().normal(size=(F, T)) * 0.3
+        cfg = ExplainerConfig(mode=mode, exact_threshold=0, n_samples=n_samples, seed=3,
+                              explain_logit=explain_logit)
+        X, M, t = _game_with(40 if mode == "cell" else 16, mode, F, T, seed=23)
+        got = explain_step(model, X, M, t, B, cfg)
+        weights, base, players, output = explain_step_game(model, X, M, t, B, cfg)
+        assert coalitions_by_row(len(players), cfg, t)[0].shape[0] > COALITION_BLOCK
+        assert np.array_equal(got.weights, weights) and got.players == players
+        assert got.base == base and got.output == output
+
+    @pytest.mark.parametrize("K", [1025, 2049])
+    def test_odd_row_counts(self, K):
+        """No game plays an odd number of rows today. A one-row block, or a
+        short block before the last, would send rows down other BLAS
+        kernels. Their bits differ in few rows, so a dozen draws are played:
+        on a 2-core x86-64 machine with OpenBLAS 0.3.31, either split fails
+        at least one of them."""
+        F, T = 14, 14
+        model = make_model(F=F, H=8, seed=24)
+        for seed in range(12):
+            gen = RngStream(seed).generator()
+            X, B = gen.normal(size=(2, F, T))
+            M = (gen.random((F, T)) < 0.5).astype(float)
+            players = cell_players(M, T)
+            Z = gen.random((K, len(players))) < 0.5
+            got = itshap._evaluate_coalitions(model, X, M, T, B, players, "cell", Z, False)
+            want = evaluate_coalitions_whole_batch(model, X, M, T, B, players, "cell", Z,
+                                                   False)
+            assert np.array_equal(got, want), seed
+
+    def test_blocks_cover_the_rows_without_a_one_row_block(self):
+        for K in range(4 * COALITION_BLOCK + 3):
+            blocks = itshap._blocks(K)
+            sizes = [stop - start for start, stop in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == K
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) <= COALITION_BLOCK and (K <= 1 or min(sizes) > 1)
+            assert all(start % (COALITION_BLOCK // 2) == 0 for start, _ in blocks)
+            assert (len(blocks) == 1) == (K <= COALITION_BLOCK)
+
+    def test_game_memory_bounded_by_the_block(self):
+        """A 16-player exact cell game plays 65,534 rows; on an attention
+        model its traced peak stays far below one input block of them all."""
+        F, T = 14, 14
+        model = make_model(F=F, H=8, seed=26, use_attention=True)
+        X, M, t = _game_with(16, "cell", F, T, seed=27)
+        tracemalloc.start()
+        try:
+            res = explain_step(model, X, M, t, np.zeros((F, T)),
+                               ExplainerConfig(exact_threshold=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole_batch_inputs = (2**16 - 2) * F * T * 8
+        assert len(res.players) == 16
+        assert peak < whole_batch_inputs / 3, (peak, whole_batch_inputs)
