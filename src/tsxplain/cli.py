@@ -318,15 +318,17 @@ def cmd_report(s: Settings, args) -> int:
     report = eval_mod.delta_report(gru_series, att_series)
     eval_mod.save_delta_report(report, out / "delta_report.csv")
 
+    def average(values, defined) -> str:
+        """The mean over the defined steps, or a word when no step is."""
+        return f"{float(values[defined].mean()):.6f}" if defined.any() else "undefined"
+
     lines = ["model comparison: plain GRU minus attention GRU", ""]
     for m in eval_mod.METRICS:
         for label, series in (("gru", gru_series), ("attention", att_series)):
-            d = series[m].defined
-            avg = float(series[m].mean[d].mean()) if d.any() else float("nan")
-            lines.append(f"{m} mean over steps ({label}): {avg:.6f}")
-        d = report.defined[m]
-        avg = float(report.mean_delta[m][d].mean()) if d.any() else float("nan")
-        lines.append(f"{m} mean delta over steps (gru - attention): {avg:.6f}")
+            avg = average(series[m].mean, series[m].defined)
+            lines.append(f"{m} mean over steps ({label}): {avg}")
+        avg = average(report.mean_delta[m], report.defined[m])
+        lines.append(f"{m} mean delta over steps (gru - attention): {avg}")
         lines.append("")
     lines.append(f"sign convention: {report.sign_convention}")
     (out / "report_summary.txt").write_text("\n".join(lines) + "\n")

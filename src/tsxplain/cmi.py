@@ -136,6 +136,88 @@ def discretize(values: np.ndarray, n_bins: int, binning: str) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
+def _count(keys: np.ndarray, space: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys below ``space``, ascending, and their (weighted)
+    counts. A key space past ``max(4 * keys.size, 2**16)`` is counted by a
+    sort, as ``_ranks`` does, so a table stays within a small multiple of
+    the keys it counts."""
+    if space <= max(4 * keys.size, 2**16):
+        counts = np.bincount(keys, weights, minlength=space)
+        at = np.flatnonzero(counts)
+        return at, counts[at]
+    at, inverse = np.unique(keys, return_inverse=True)
+    return at, np.bincount(inverse, weights)
+
+
+def _entropies(at: np.ndarray, counts: np.ndarray, block: int, n: np.ndarray) -> list[float]:
+    """The entropy in bits of each column's counts: column j owns the keys
+    ``[j * block, (j + 1) * block)`` and has ``n[j]`` samples. Its nonzero
+    counts, in key order, are the array ``entropy`` counts, and each entropy
+    is the same expression over it, so it has the same bits."""
+    ends = np.searchsorted(at, np.arange(n.size + 1) * block)
+    p = counts / np.repeat(n, np.diff(ends))
+    terms = p * np.log2(p)
+    return [float(-np.add.reduce(terms[lo:hi])) for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _entropy_terms(a, y, ly: int, z, lz: int, rows) -> tuple[list[float], ...]:
+    """H(a, z), H(y, z), H(a, y, z) and H(z) of each row of the codes ``a``
+    (k, n) over the samples its row of ``rows`` marks, from one count table
+    of the joint (a, y, z) keys; ``y`` and ``z`` are codes below ``ly`` and
+    ``lz`` shared by all rows. Each row gets its own block of keys, offset by
+    its index, and the key order is the lexicographic order of the codes,
+    which is the order ``entropy`` counts the samples in; each marginal is
+    recounted from the joint's nonzero cells."""
+    k = rows.shape[0]
+    la = int(a.max()) + 1
+    size = la * ly * lz
+    at, joint = _count(((a * ly + y) * lz + z + np.arange(k)[:, None] * size)[rows], k * size)
+    f, cell = np.divmod(at, size)
+    a, cell = np.divmod(cell, ly * lz)
+    y, z = np.divmod(cell, lz)
+    n = rows.sum(axis=1)
+    return (
+        _entropies(*_count((f * la + a) * lz + z, k * la * lz, joint), la * lz, n),
+        _entropies(*_count((f * ly + y) * lz + z, k * ly * lz, joint), ly * lz, n),
+        _entropies(at, joint, size, n),
+        _entropies(*_count(f * lz + z, k * lz, joint), lz, n),
+    )
+
+
+def _step_codes(X, seen, scored, kinds, cfg: CmiConfig) -> np.ndarray:
+    """The scored features' (F, n) values at a step as int64 codes in the
+    order of the values they code: bins of a numeric feature's observed
+    values, and for a binary feature the rank of its value among all the
+    values the step's binary features take. The unscored features stay 0,
+    and no count reads the codes of unobserved cells."""
+    codes = np.zeros(X.shape, dtype=np.int64)
+    flags = scored[kinds[scored] == "binary"]
+    codes[flags] = np.searchsorted(np.unique(X[flags][seen[flags]]), X[flags])
+    for f in scored[kinds[scored] == "numeric"]:
+        codes[f, seen[f]] = discretize(X[f, seen[f]], cfg.n_bins, cfg.binning)
+    return codes
+
+
+def _conditioned_scores(codes, seen, y, ly, features, conditioners, mi) -> np.ndarray:
+    """``conditional_mutual_information`` of each feature's codes and the
+    labels given the conditioners' codes, over the samples that observe the
+    feature and every conditioner; ``mi`` (the unconditioned score) where
+    fewer than ``MIN_VALID_SAMPLES`` do."""
+    scores = mi[features]
+    common = seen[conditioners].all(axis=0)
+    rows = seen[np.ix_(features, common)]
+    ok = rows.sum(axis=1) >= MIN_VALID_SAMPLES
+    if ok.any():
+        # the conditioners' joint code, ranked once over the samples that see
+        # them all; each feature's samples are a subset, where its order holds
+        z = _codes(*codes[np.ix_(conditioners, common)])
+        h_az, h_yz, h_ayz, h_z = _entropy_terms(
+            codes[np.ix_(features[ok], common)], y[common], ly, z, int(z.max()) + 1,
+            rows[ok])
+        scores[ok] = [az + yz - ayz - hz for az, yz, ayz, hz in zip(h_az, h_yz, h_ayz, h_z)]
+    return scores
+
+
 def cmi_feature_scores(c: Cohort, cfg: CmiConfig, scope: str = "all") -> CmiScores:
     """Score every (feature, time step) cell against the step label, over
     the patients in ``scope`` (see ``Cohort.scope_indices``).
@@ -149,53 +231,48 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig, scope: str = "all") -> CmiScor
     conditioning set is full, the remaining features all keep the scores of
     that round, which is what further rounds would give them. Cells with
     fewer than 10 observed samples are left at 0 and flagged absent via
-    valid_counts.
+    valid_counts. Each round scores all of its features at once from one
+    count table (see ``_entropy_terms``), to the bits that
+    ``mutual_information`` and ``conditional_mutual_information`` give.
     """
     picked = np.asarray(c.scope_indices(scope))
     F, T = c.F, c.T
+    kinds = np.array([feature.kind for feature in c.schema.features])
     S = np.zeros((F, T))
     counts = np.zeros((F, T), dtype=np.int64)
 
     for t in range(T):
-        # (picked, F) values and observed flags at step t; validation keeps
-        # the mask zero beyond each stay, so the flags also mark valid steps
-        X = c.X[picked, :, t]
-        seen = c.M[picked, :, t] == 1.0
-        y = _ranks(c.y[picked, t])[0]
-        counts[:, t] = seen.sum(axis=0)
-        scored = [f for f in range(F) if counts[f, t] >= MIN_VALID_SAMPLES]
-        # the scored cells as int64 codes (bins, or the ranks of a binary
-        # feature's values), which every entropy then ranks without a sort;
-        # the unscored columns are never read and stay 0
-        codes = np.zeros(X.shape, dtype=np.int64)
-        for f in scored:
-            if c.schema.features[f].kind == "numeric":
-                codes[seen[:, f], f] = discretize(X[seen[:, f], f], cfg.n_bins, cfg.binning)
-            else:
-                codes[seen[:, f], f] = _ranks(X[seen[:, f], f])[0]
-
-        def score(f: int, conditioners: list[int]) -> float:
-            if conditioners:
-                common = seen[:, [f, *conditioners]].all(axis=1)
-                if common.sum() >= MIN_VALID_SAMPLES:
-                    return conditional_mutual_information(
-                        codes[common, f], y[common], codes[np.ix_(common, conditioners)]
-                    )
-            return mutual_information(codes[seen[:, f], f], y[seen[:, f]])
+        # (F, picked) values and observed flags at step t, a feature a row;
+        # validation keeps the mask zero beyond each stay, so the flags also
+        # mark valid steps
+        X = c.X[:, :, t].T[:, picked]
+        seen = c.M[:, :, t].T[:, picked] == 1.0
+        y, ly = _ranks(c.y[picked, t])
+        counts[:, t] = seen.sum(axis=1)
+        scored = np.flatnonzero(counts[:, t] >= MIN_VALID_SAMPLES)
+        if not scored.size:
+            continue
+        codes = _step_codes(X, seen, scored, kinds, cfg)
+        # round 0's mutual informations, and each later round's fallback
+        h_a, h_y, h_ay, _ = _entropy_terms(codes[scored], y, ly, 0, 1, seen[scored])
+        mi = np.zeros(F)
+        mi[scored] = [ha - (hay - hy) for ha, hay, hy in zip(h_a, h_ay, h_y)]
 
         # greedy rounds fill the conditioning set ("none" keeps it empty);
         # once it is full, later rounds would only score the remaining
         # features against it again to the same values, so all are final
         full = cfg.max_conditioners if cfg.conditioning == "greedy_selected" else 0
-        selected: list[int] = []
-        while scored:
-            scores = [score(f, selected) for f in scored]
+        remaining, selected = scored, []
+        while remaining.size:
+            scores = (_conditioned_scores(codes, seen, y, ly, remaining, selected, mi)
+                      if selected else mi[remaining])
             if len(selected) == full:
-                S[scored, t] = scores
+                S[remaining, t] = scores
                 break
             best = int(np.argmax(scores))  # the first of equal best scores
-            S[scored[best], t] = scores[best]
-            selected.append(scored.pop(best))
+            S[remaining[best], t] = scores[best]
+            selected.append(int(remaining[best]))
+            remaining = np.delete(remaining, best)
     return CmiScores(S=S, valid_counts=counts)
 
 

@@ -9,6 +9,7 @@ the stay are all zero.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -423,18 +424,31 @@ def load_schema(path) -> FeatureSchema:
     return FeatureSchema(tuple(feats))
 
 
+def _finite(value: float, path) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{path}: non-finite value {value!r}; nothing written")
+    return value
+
+
 def write_long_csv(path, rows) -> None:
     """Write a long-format CSV artefact, header rows included. Floats are
     written as ``repr`` so ``float(cell)`` restores them bit-exactly, ``None``
     (an undefined value) becomes an empty cell, and ints and strings are
-    written unchanged."""
+    written unchanged. A non-finite float is a FloatingPointError, and on any
+    error while the rows are written the file is removed."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([
-                repr(float(v)) if isinstance(v, float) else ("" if v is None else v)
-                for v in row
-            ])
+        try:
+            writer = csv.writer(fh)
+            for row in rows:
+                writer.writerow([
+                    repr(_finite(v, path)) if isinstance(v, float) else ("" if v is None else v)
+                    for v in row
+                ])
+        except BaseException:
+            fh.close()
+            Path(path).unlink()
+            raise
 
 
 def read_long_csv(path, header: list[str]) -> list[list[str]]:

@@ -6,7 +6,8 @@ perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time, each game's rows forwarded in one whole batch and a full game played
 for every explained step, CMI screening that gathers each (feature, step)
 cell's samples patient by patient and codes joint alphabets with
-``np.unique(axis=0)``, and central-difference gradients, average ranks
+``np.unique(axis=0)``, CMI screening that makes one entropy call per term
+of each (cell, round) score, and central-difference gradients, average ranks
 found by walking tied runs, a cohort CSV reader that groups rows by patient
 and parses one cell at a time, a cohort CSV writer that formats one patient
 record's cells one at a time, a synthetic cohort generator that builds one
@@ -23,7 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from tsxplain.cmi import MIN_VALID_SAMPLES, discretize
+from tsxplain.cmi import (
+    MIN_VALID_SAMPLES,
+    _ranks,
+    conditional_mutual_information,
+    discretize,
+    mutual_information,
+)
 from tsxplain.data import (
     DEFAULT_T,
     Cohort,
@@ -491,6 +498,49 @@ def _greedy_score_by_lists(cell, f, conditioners) -> float:
     pick = np.isin(who, common)
     z_cols = [cell[g][0][np.isin(cell[g][2], common)] for g in conditioners]
     return cmi_unique_rows(vals[pick], labels[pick], np.stack(z_cols, axis=1))
+
+
+def cmi_scores_by_call(c, cfg, scope: str = "all") -> tuple[np.ndarray, np.ndarray]:
+    """(S, valid_counts) of CMI screening with each (cell, round) score one
+    call of ``mutual_information`` or ``conditional_mutual_information``,
+    each of whose entropies ranks and counts its own sample."""
+    picked = np.asarray(c.scope_indices(scope))
+    F, T = c.F, c.T
+    S = np.zeros((F, T))
+    counts = np.zeros((F, T), dtype=np.int64)
+    for t in range(T):
+        X = c.X[picked, :, t]
+        seen = c.M[picked, :, t] == 1.0
+        y = _ranks(c.y[picked, t])[0]
+        counts[:, t] = seen.sum(axis=0)
+        scored = [f for f in range(F) if counts[f, t] >= MIN_VALID_SAMPLES]
+        codes = np.zeros(X.shape, dtype=np.int64)
+        for f in scored:
+            if c.schema.features[f].kind == "numeric":
+                codes[seen[:, f], f] = discretize(X[seen[:, f], f], cfg.n_bins, cfg.binning)
+            else:
+                codes[seen[:, f], f] = _ranks(X[seen[:, f], f])[0]
+
+        def score(f, conditioners):
+            if conditioners:
+                common = seen[:, [f, *conditioners]].all(axis=1)
+                if common.sum() >= MIN_VALID_SAMPLES:
+                    return conditional_mutual_information(
+                        codes[common, f], y[common], codes[np.ix_(common, conditioners)]
+                    )
+            return mutual_information(codes[seen[:, f], f], y[seen[:, f]])
+
+        full = cfg.max_conditioners if cfg.conditioning == "greedy_selected" else 0
+        selected = []
+        while scored:
+            scores = [score(f, selected) for f in scored]
+            if len(selected) == full:
+                S[scored, t] = scores
+                break
+            best = int(np.argmax(scores))
+            S[scored[best], t] = scores[best]
+            selected.append(scored.pop(best))
+    return S, counts
 
 
 def save_cohort_by_patient(cohort: Cohort, data_path, schema_path) -> None:

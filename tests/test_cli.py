@@ -162,6 +162,24 @@ class TestTrain:
         assert "non-finite loss" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ckpt_gru_seed0.txt").exists()
 
+    def test_non_finite_metric_exit_4_removes_run_file(self, tmp_path, capsys, monkeypatch):
+        """The long-CSV writer refuses a NaN metric: train exits 4 and leaves
+        no run file that holds it."""
+        real = eval_mod.evaluate
+
+        def nan_auc(*args):
+            table = real(*args)
+            table["roc_auc"][0] = float("nan")
+            return table
+
+        monkeypatch.setattr(eval_mod, "evaluate", nan_auc)
+        cfg_path, _ = write_config(tmp_path)
+        run(["synth", "--config", str(cfg_path)])
+        capsys.readouterr()
+        assert run(["train", "--config", str(cfg_path), "--attention", "off"]) == 4
+        assert "non-finite value nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_gru_seed0.csv").exists()
+
     def test_non_finite_loss_in_one_cv_fit_names_it(self, tmp_path, capsys, monkeypatch):
         """Two grid points × two folds make one stack of four CV fits; only
         the third fit's first validation loss is made non-finite."""
@@ -559,6 +577,28 @@ class TestReport:
         cfg_path, out = write_metrics(tmp_path)
         assert run(["report", "--config", str(cfg_path)]) == 0
         assert "nan" not in (out / "delta_report.csv").read_text()
+
+    def test_metric_undefined_at_every_step_reads_undefined(self, tmp_path):
+        """A metric that no step defines has no mean: the summary says
+        "undefined" where it would print nan. It runs in a new process, as a
+        user would run it."""
+        cfg_path, out = write_metrics(tmp_path)
+        for variant in ("gru", "attention"):
+            runs = [{m: [None] * 3 if m == "sensitivity" else [0.6, 0.7, 0.5 + r / 10]
+                     for m in eval_mod.METRICS} for r in range(2)]
+            eval_mod.save_metric_series(eval_mod.aggregate_repeats(runs),
+                                        out / f"metrics_{variant}.csv")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "tsxplain.cli", "report", "--config", str(cfg_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        summary = (out / "report_summary.txt").read_text()
+        assert "nan" not in summary
+        lines = [line for line in summary.splitlines() if line.startswith("sensitivity")]
+        assert len(lines) == 3 and all(line.endswith(": undefined") for line in lines)
+        assert "roc_auc mean over steps (gru): 0.616667" in summary
 
     def test_overflowing_means_exit_3(self, tmp_path, capsys):
         """Means at the float64 maximum, of opposite signs, would overflow

@@ -23,7 +23,7 @@ from tsxplain.errors import ConfigError, DataError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
-from oracles import cmi_scores_by_cell, entropy_unique_rows
+from oracles import cmi_scores_by_call, cmi_scores_by_cell, entropy_unique_rows
 
 
 class TestEntropy:
@@ -412,8 +412,9 @@ class TestIntegerCoder:
 
 
 class TestEntropyCalls:
-    """Each scored cell costs 3 entropies unconditioned and 4 conditioned, and
-    the greedy pass stops at the round whose conditioning set is full."""
+    """A round scores all of its features from one count table: each (cell,
+    round) score is made once, and the greedy pass stops at the round whose
+    conditioning set is full."""
 
     @pytest.mark.parametrize("conditioning,max_conditioners", [
         ("none", 2), ("greedy_selected", 0), ("greedy_selected", 1),
@@ -422,20 +423,20 @@ class TestEntropyCalls:
     def test_count(self, monkeypatch, conditioning, max_conditioners):
         T, F = 3, 5
         c = toy_cohort([(None, T)] * 20 + [(1, T)] * 20, F=F, T=T)  # every cell seen
-        calls = []
-        real = cmi_mod.entropy
+        scored = []
+        real = cmi_mod._entropy_terms
 
-        def counted(*columns):
-            calls.append(len(columns))
-            return real(*columns)
+        def counted(a, *args):
+            scored.append(a.shape[0])  # one score per row of codes
+            return real(a, *args)
 
-        monkeypatch.setattr(cmi_mod, "entropy", counted)
+        monkeypatch.setattr(cmi_mod, "_entropy_terms", counted)
         cfg = CmiConfig(conditioning=conditioning, max_conditioners=max_conditioners)
         scores = cmi_feature_scores(c, cfg)
         s = F
         mc = max_conditioners if conditioning == "greedy_selected" else 0
         assert (scores.valid_counts == 40).all()
-        assert len(calls) == T * (3 * s + 4 * sum(s - k for k in range(1, min(mc, s - 1) + 1)))
+        assert sum(scored) == T * (s + sum(s - k for k in range(1, min(mc, s - 1) + 1)))
 
 
 def masked_cohort(n: int, missing_rate: float, seed: int) -> Cohort:
@@ -492,3 +493,102 @@ class TestScoresOracle:
         S, counts = cmi_scores_by_cell(c.subset(c.scope_indices(scope)), cfg)
         assert scores.S.tobytes() == S.tobytes()
         assert np.array_equal(scores.valid_counts, counts)
+
+
+# values for a cohort built from blocks: binary features get values other
+# than 0 and 1, numeric ones magnitudes near the float64 range
+BLOCK_VALUES = np.array([-1e300, -2.5, -0.0, 0.0, 1.0, 3.0, 7.25, 1e300])
+
+
+def block_cohort(n: int, T: int, seen_rate: float, seed: int) -> Cohort:
+    """A ``Cohort.from_blocks`` cohort with random stays, masks, label onsets
+    and values drawn from ``BLOCK_VALUES``; unobserved cells keep values."""
+    schema = small_schema(6)
+    gen = RngStream(seed).generator()
+    stay = gen.integers(1, T + 1, n)
+    valid = np.arange(T) < stay[:, None]
+    M = ((gen.random((n, schema.F, T)) < seen_rate) & valid[:, None, :]).astype(float)
+    X = gen.choice(BLOCK_VALUES, size=M.shape)
+    onset = gen.integers(1, 2 * T, n)  # none on day 1, none within about half the stays
+    y = ((np.arange(T) >= onset[:, None]) & valid).astype(float)
+    ids = np.array([f"b{i}" for i in range(n)], dtype=object)
+    return Cohort.from_blocks(schema, T, X, M, y, stay, ids)
+
+
+def check_scores_by_call(c: Cohort, cfg: CmiConfig, scope: str) -> None:
+    """``cmi_feature_scores`` equals the per-call scorer bit for bit, or both
+    refuse the scope."""
+    try:
+        S, counts = cmi_scores_by_call(c, cfg, scope)
+    except DataError:
+        with pytest.raises(DataError):
+            cmi_feature_scores(c, cfg, scope)
+        return
+    scores = cmi_feature_scores(c, cfg, scope)
+    assert scores.S.tobytes() == S.tobytes()
+    assert np.array_equal(scores.valid_counts, counts)
+
+
+N_BINS = st.sampled_from([2, 3, 8, 64, 5000])
+CONFIGS = st.builds(
+    CmiConfig, n_bins=N_BINS, binning=st.sampled_from(["equal_frequency", "equal_width"]),
+    conditioning=st.sampled_from(["none", "greedy_selected"]),
+    max_conditioners=st.integers(0, 5),
+)
+
+
+class TestScoresByCall:
+    """``cmi_feature_scores`` against ``oracles.cmi_scores_by_call``, which
+    makes one entropy call per term of each (cell, round) score."""
+
+    @given(n=st.integers(10, 150), missing_rate=st.floats(0.0, 0.7),
+           mdr_fraction=st.sampled_from([0.0, 0.15, 0.6]), mean_stay=st.floats(1.5, 8.0),
+           T=st.integers(2, 8), seed=st.integers(0, 2**16), cfg=CONFIGS,
+           scope=st.sampled_from(SCOPES))
+    @settings(max_examples=150, deadline=None)
+    def test_synth_cohorts(self, n, missing_rate, mdr_fraction, mean_stay, T, seed, cfg,
+                           scope):
+        c = synth_cohort(SynthConfig(n_patients=n, mdr_fraction=mdr_fraction,
+                                     missing_rate=missing_rate, mean_stay=mean_stay,
+                                     T=T, seed=seed))
+        check_scores_by_call(c, cfg, scope)
+
+    @given(n=st.integers(10, 150), seen_rate=st.floats(0.3, 1.0), T=st.integers(1, 6),
+           seed=st.integers(0, 2**16), cfg=CONFIGS, scope=st.sampled_from(SCOPES))
+    @settings(max_examples=100, deadline=None)
+    def test_block_cohorts(self, n, seen_rate, T, seed, cfg, scope):
+        check_scores_by_call(block_cohort(n, T, seen_rate, seed), cfg, scope)
+
+    @pytest.mark.parametrize("conditioning", ["none", "greedy_selected"])
+    def test_edge_steps(self, conditioning):
+        """A step with one label class, steps whose every cell is absent,
+        binary values besides 0 and 1, and values of +-1e300."""
+        c = block_cohort(60, 6, 0.8, 5)
+        present = (c.M == 1.0).sum(axis=0) >= MIN_VALID_SAMPLES  # (F, T)
+        valid = np.arange(c.T) < c.stay[:, None]
+        one_class = [len(set(c.y[valid[:, t], t])) == 1 for t in range(c.T) if present[:, t].any()]
+        assert any(one_class)
+        assert not present.any(axis=0).all()
+        binary = [f for f, d in enumerate(c.schema.features) if d.kind == "binary"]
+        assert not np.isin(c.X[:, binary][c.M[:, binary] == 1.0], (0.0, 1.0)).all()
+        assert (np.abs(c.X[c.M == 1.0]) == 1e300).any()
+        for max_conditioners in range(6):
+            cfg = CmiConfig(conditioning=conditioning, max_conditioners=max_conditioners)
+            check_scores_by_call(c, cfg, "all")
+
+    def test_sort_fallback(self, monkeypatch):
+        """Key spaces past the bincount bound are counted by a sort."""
+        sorted_spaces = []
+        real = cmi_mod._count
+
+        def spy(keys, space, weights=None):
+            sorted_spaces.append(space > max(4 * keys.size, 2**16))
+            return real(keys, space, weights)
+
+        monkeypatch.setattr(cmi_mod, "_count", spy)
+        c = masked_cohort(120, 0.3, 2)
+        for binning in ("equal_frequency", "equal_width"):
+            cfg = CmiConfig(n_bins=5000, binning=binning, conditioning="greedy_selected",
+                            max_conditioners=3)
+            check_scores_by_call(c, cfg, "all")
+        assert any(sorted_spaces) and not all(sorted_spaces)

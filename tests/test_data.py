@@ -448,8 +448,9 @@ class TestCohortIo:
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d0.csv").read_bytes()
 
     def test_writer_memory_does_not_grow_with_patients(self, tmp_path):
-        """The file streams out a patient at a time: four times the patients
-        cost the writer at most a quarter more memory at its peak."""
+        """The file streams out 64 patients at a time (``WRITE_BLOCK``): four
+        times the patients cost the writer at most a quarter more memory at
+        its peak."""
         c = synth_cohort(SynthConfig(n_patients=500, missing_rate=0.2, seed=4))
         big = Cohort.from_blocks(c.schema, c.T, *(np.concatenate([b] * 4) for b in (
             c.X, c.M, c.y, c.stay)), np.array([f"q{i:05d}" for i in range(2000)], dtype=object))
@@ -602,13 +603,34 @@ class TestLongCsv:
             read_long_csv(tmp_path / "m.csv", ["a", "b"])
 
     def test_floats_round_trip_bit_exact(self, tmp_path):
-        values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, float("inf")]
+        values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         values += list(RngStream(11).generator().normal(scale=1e3, size=50))
         write_long_csv(tmp_path / "f.csv", [["v"]] + [[v] for v in values])
         with open(tmp_path / "f.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         back = np.array([float(r[0]) for r in rows[1:]])
         assert np.array_equal(back.view(np.uint64), np.array(values).view(np.uint64))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "np.float64-nan"])
+    def test_non_finite_float_refused(self, tmp_path, value):
+        """The one writer of float artefacts is the backstop against a silent
+        NaN: it raises and leaves no partial file, also in place of an old one."""
+        path = tmp_path / "m.csv"
+        path.write_text("old\n")
+        rows = [["name", "value"], ["a", 0.5], ["b", value], ["c", 0.25]]
+        with pytest.raises(FloatingPointError, match="non-finite value"):
+            write_long_csv(path, rows)
+        assert not path.exists()
+
+    def test_error_in_rows_removes_file(self, tmp_path):
+        def rows():
+            yield ["name", "value"]
+            raise ValueError("cannot format")
+
+        with pytest.raises(ValueError):
+            write_long_csv(tmp_path / "m.csv", rows())
+        assert not (tmp_path / "m.csv").exists()
 
     def test_none_ints_and_strings(self, tmp_path):
         write_long_csv(tmp_path / "m.csv", [["# note"], ["name", "t", "value"],
