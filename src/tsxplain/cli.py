@@ -181,7 +181,10 @@ def _checkpoint(s: Settings, variant: str, seed: int) -> Path:
 
 
 def save_heatmap_pgm(matrix: np.ndarray, path: Path) -> None:
-    """Grayscale F x T heatmap as text PGM (P2) with a sidecar scale file."""
+    """Grayscale F x T heatmap as text PGM (P2) with a sidecar scale file.
+    A non-finite matrix is a FloatingPointError, and neither file is written."""
+    if not np.isfinite(matrix).all():
+        raise FloatingPointError(f"{path}: non-finite heatmap value; nothing written")
     lo = float(matrix.min())
     hi = float(matrix.max())
     span = hi - lo if hi > lo else 1.0
@@ -274,7 +277,7 @@ def cmd_explain(s: Settings, args) -> int:
         if trained.attention is None:
             raise ConfigError("attention explanation requested on a no-attention checkpoint")
         explained = cohort
-        W = model_mod.attention_matrix(cohort.X * cohort.M, trained.attention)
+        W = model_mod.attention_matrix(cohort.X, trained.attention)  # X holds X⊙M
     else:
         train_c, test_c = _split(cohort, s, s.seeds[0])
         explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))

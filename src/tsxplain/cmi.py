@@ -246,7 +246,7 @@ def cmi_feature_scores(c: Cohort, cfg: CmiConfig, scope: str = "all") -> CmiScor
         # validation keeps the mask zero beyond each stay, so the flags also
         # mark valid steps
         X = c.X[:, :, t].T[:, picked]
-        seen = c.M[:, :, t].T[:, picked] == 1.0
+        seen = c.M[:, :, t].T[:, picked]
         y, ly = _ranks(c.y[picked, t])
         counts[:, t] = seen.sum(axis=1)
         scored = np.flatnonzero(counts[:, t] >= MIN_VALID_SAMPLES)

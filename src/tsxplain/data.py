@@ -71,19 +71,27 @@ class FeatureSchema:
 
 @dataclass
 class PatientRecord:
+    """One patient's fields. The records a cohort hands out are views into
+    its blocks, so they hold its bool mask and its masked values."""
+
     id: str
-    X: np.ndarray  # (F, T) float64
-    M: np.ndarray  # (F, T) binary 0/1
+    X: np.ndarray  # (F, T) float64; X * M in a cohort's records
+    M: np.ndarray  # (F, T) 0/1; bool in a cohort's records
     y: np.ndarray  # (T,) in {0, 1}
     stay_length: int
 
 
 class Cohort:
-    """Patients as the rows of one block per field: ``X`` and ``M`` (n, F, T),
-    ``y`` (n, T), and the stay lengths ``stay`` and ``ids`` (n,).
+    """Patients as the rows of one block per field: the observation mask
+    ``M`` (n, F, T) bool, the values ``X`` (n, F, T) float64, ``y`` (n, T),
+    and the stay lengths ``stay`` and ``ids`` (n,).
 
-    ``Cohort(schema, patients, T)`` stacks the given records once and
-    validates the blocks; ``from_blocks`` takes blocks as they are.
+    ``X`` holds X⊙M, the product the model reads, with the bits of the
+    float product ``X * M``: 0 at each unobserved cell, or -0.0 where the
+    stored value was negative. No command forms the product again.
+    ``Cohort(schema, patients, T)`` stacks the given records as float64,
+    validates them, and then keeps ``M == 1.0`` and ``X * M``;
+    ``from_blocks`` takes blocks as they are.
     """
 
     def __init__(self, schema: FeatureSchema, patients, T: int = DEFAULT_T):
@@ -100,11 +108,14 @@ class Cohort:
         self.X, self.M, self.y = block("X", F, T), block("M", F, T), block("y", T)
         self.stay = np.array([p.stay_length for p in patients], dtype=np.int64)
         self.ids = np.array([p.id for p in patients], dtype=object)
-        self._validate()
+        self._validate()  # on the float mask, so a 0.5 or NaN in it is named
+        self.X *= self.M
+        self.M = self.M == 1.0
 
     @classmethod
     def from_blocks(cls, schema: FeatureSchema, T: int, X, M, y, stay, ids) -> "Cohort":
-        """The cohort whose patient i is row i of every block, unchecked."""
+        """The cohort whose patient i is row i of every block, unchecked: the
+        blocks are the cohort's own, ``M`` bool and ``X`` holding X⊙M."""
         c = cls.__new__(cls)
         c.schema, c.T, c.X, c.M, c.y, c.stay, c.ids = schema, T, X, M, y, stay, ids
         return c
@@ -342,7 +353,7 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
     env_idx = schema.group_indices("environment")
     care_idx = schema.group_indices("care")
 
-    X, M = np.zeros((2, n, F, T))
+    X, M = np.zeros((n, F, T)), np.zeros((n, F, T), dtype=bool)
     y = np.zeros((n, T))
     for i in range(n):
         stay = int(stays[i])
@@ -365,10 +376,10 @@ def synth_cohort(cfg: SynthConfig) -> Cohort:
 
         y[i] = build_labels(int(min(culture_geom[i], stay)) if positive[i] else None, stay, T)
 
-        M[i, :, :stay] = 1.0
+        M[i, :, :stay] = True
         if cfg.missing_rate > 0:
             drop = g_mask.random((F, stay)) < cfg.missing_rate
-            M[i, :, :stay][drop] = 0.0
+            M[i, :, :stay][drop] = False
     X *= M  # missing cells store 0 by construction
     ids = np.array([f"p{i:05d}" for i in range(n)], dtype=object)
     return Cohort.from_blocks(schema, T, X, M, y, stays, ids)._validate()
@@ -505,7 +516,7 @@ def save_cohort(cohort: Cohort, data_path, schema_path) -> None:
             part = slice(start, start + WRITE_BLOCK)
             i, t = np.nonzero(np.arange(cohort.T) < cohort.stay[part, None])  # in-stay days
             X = cohort.X[part].transpose(0, 2, 1)[i, t]
-            seen = cohort.M[part].transpose(0, 2, 1)[i, t] == 1.0
+            seen = cohort.M[part].transpose(0, 2, 1)[i, t]
             table = np.full((len(i), 3 + cohort.F), "", dtype=object)
             table[:, 0] = cohort.ids[part][i]
             table[:, 1] = t + 1
@@ -520,7 +531,8 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     """Read back exactly what ``save_cohort`` writes: F + 3 cells a row, a
     nonempty id, days 1..stay <= T, a 0/1 label, and in each feature cell
     nothing or a finite number (0 or 1 if binary). Any other header is a
-    SchemaError, and any other row a DataError."""
+    SchemaError, and any other row a DataError. ``M`` flags the nonempty
+    cells and ``X`` holds their values, 0 elsewhere: X⊙M as it is."""
     schema = load_schema(schema_path)
     columns = read_long_csv(data_path, ["patient_id", "t", "label"] + schema.names)
 
@@ -543,7 +555,8 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     reject((labels != "0") & (labels != "1"),
            lambda r: f"patient {ids[r]}: label must be 0 or 1, got {labels[r]!r}")
 
-    X, M = np.zeros((2, len(start), schema.F, T))
+    X = np.zeros((len(start), schema.F, T))
+    M = np.zeros(X.shape, dtype=bool)
     y = np.zeros((len(start), T))
     y[patient, day - 1] = labels == "1"
     for f, feature in enumerate(schema.features):
@@ -559,5 +572,5 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                          f"{'non-binary' if np.isfinite(values[i]) else 'non-finite'} "
                          f"value {cells[seen[i]]!r} in {feature.name}")
         X[patient[seen], f, day[seen] - 1] = values
-        M[patient[seen], f, day[seen] - 1] = 1.0
+        M[patient[seen], f, day[seen] - 1] = True
     return Cohort.from_blocks(schema, T, X, M, y, stay, ids[start])._validate()

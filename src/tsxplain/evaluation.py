@@ -87,8 +87,8 @@ def evaluate(
         raise DataError("test cohort is empty")
     if threshold is None:
         threshold = model.threshold
-    X, M, y, valid = test.stacked()
-    yhat = forward_prepared(X * M, model.gru, model.attention)
+    X, _, y, valid = test.stacked()  # X holds X⊙M, the model's input
+    yhat = forward_prepared(X, model.gru, model.attention)
     table: StepTable = {m: [] for m in METRICS}
     for t in range(test.T):
         sel = valid[:, t]

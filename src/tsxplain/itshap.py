@@ -64,11 +64,11 @@ def background_matrix(train: Cohort) -> np.ndarray:
     observed fall back to the feature's all-step mean, then 0."""
     if not train.ids.size:
         raise DataError("training cohort is empty")
-    X, M = train.X, train.M
-    num = (X * M).sum(axis=0)
+    X, M = train.X, train.M  # X holds X⊙M
+    num = X.sum(axis=0)
     den = M.sum(axis=0)
     B = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    feat_num = (X * M).sum(axis=(0, 2))
+    feat_num = X.sum(axis=(0, 2))
     feat_den = M.sum(axis=(0, 2))
     feat_mean = np.divide(
         feat_num, feat_den, out=np.zeros_like(feat_num), where=feat_den > 0
@@ -166,9 +166,9 @@ def _solve_constrained(
     """Weighted linear fit of an m-player game (m >= 2) with g(0)=v0 and
     g(1)=fx eliminated by substituting the last attribution."""
     total = fx - v0
-    zf = Z.astype(np.float64)
-    targets = v - v0 - zf[:, -1] * total
-    design = zf[:, :-1] - zf[:, -1:]
+    # straight from the bool Z: numpy casts it to float64 a buffer at a time
+    targets = v - v0 - Z[:, -1] * total
+    design = np.subtract(Z[:, :-1], Z[:, -1:], dtype=np.float64)
     coeffs = weighted_least_squares(design, targets, w, ridge=ridge)
     return np.append(coeffs, total - coeffs.sum())
 
@@ -320,7 +320,7 @@ def aggregate_by_class(
         raise DataError(f"importance block of shape {W.shape} is not aligned with "
                         f"the cohort's {cohort.M.shape}")
     _, M, _, valid = cohort.stacked()
-    cells = (M[picked] == 1.0) & valid[picked, None, :]
+    cells = M[picked] & valid[picked, None, :]
     rows = np.where(cells, W[picked], 0.0)
     # cumsum adds the rows in patient order for any F x T, as a loop over the
     # patients does (a plain sum pairs up the terms of a one-cell block);

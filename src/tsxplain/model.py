@@ -11,7 +11,8 @@ The recurrence (single hidden layer, per-step sigmoid readout):
 Inputs are consumed through the validity mask: x_t is a column of X * M
 (and additionally of the attention matrix A when attention is enabled, with
 A computed from the masked input so stored values at masked cells can never
-influence the output). Training minimizes the per-step class-balanced binary
+influence the output). A cohort's ``X`` already holds X * M, so training
+reads it as it is. Training minimizes the per-step class-balanced binary
 cross entropy with exact reverse-mode gradients through time, plain SGD,
 5-fold CV over the hyperparameter grid, and early stopping. The kernel takes
 optional leading model axes, so the CV fits of one hidden size train in
@@ -430,10 +431,9 @@ class _Fit:
 
     def __init__(self, train_c: Cohort, val_c: Cohort, lr: float, dropout: float, H: int,
                  rng: RngStream, label: str, record_train: bool = False):
-        _, _, self.y, self.valid = train_c.stacked()
-        self.Xin = train_c.X * train_c.M
-        _, _, y_va, valid_va = val_c.stacked()
-        self.val = (val_c.X * val_c.M, y_va, valid_va)
+        self.Xin, _, self.y, self.valid = train_c.stacked()
+        X_va, _, y_va, valid_va = val_c.stacked()
+        self.val = (X_va, y_va, valid_va)
         self.beta = compute_class_weights(train_c)
         self.lr, self.dropout, self.H = lr, dropout, H
         self.rng, self.label, self.record_train = rng, label, record_train

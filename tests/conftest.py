@@ -42,6 +42,13 @@ def toy_cohort(specs, F: int = 3, T: int = 6, seed: int = 0) -> Cohort:
     return Cohort(schema=schema, patients=patients, T=T)
 
 
+def freeze(cohort: Cohort) -> Cohort:
+    """The cohort, with its blocks made read-only so that a write raises."""
+    for block in (cohort.X, cohort.M, cohort.y, cohort.stay):
+        block.flags.writeable = False
+    return cohort
+
+
 @pytest.fixture
 def rng():
     return RngStream(123)

@@ -11,9 +11,9 @@ of each (cell, round) score, and central-difference gradients, average ranks
 found by walking tied runs, a cohort CSV reader that groups rows by patient
 and parses one cell at a time, a cohort CSV writer that formats one patient
 record's cells one at a time, a synthetic cohort generator that builds one
-patient record at a time, a training loop that runs each grid point × fold
-fit on its own, and a scope average that adds each patient's importance
-matrix on its own."""
+patient record at a time, X⊙M as the product of float64 value and mask
+blocks, a training loop that runs each grid point × fold fit on its own, and
+a scope average that adds each patient's importance matrix on its own."""
 
 import copy
 import csv
@@ -564,10 +564,25 @@ def save_cohort_by_patient(cohort: Cohort, data_path, schema_path) -> None:
                 writer.writerow(row)
 
 
+def float_mask_product(patients) -> np.ndarray:
+    """X⊙M of the records as every command formed it while a cohort kept its
+    mask as float64: both fields stacked as float64 blocks and multiplied."""
+    def block(field):
+        return np.array([getattr(p, field) for p in patients], dtype=np.float64)
+    return block("X") * block("M")
+
+
 def load_cohort_by_cell(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     """Cohort CSV reader that groups rows by patient id, sorts each patient's
     rows by day, skips rows with an empty label and parses each feature cell
     on its own."""
+    schema, patients = load_records_by_cell(data_path, schema_path, T)
+    return Cohort(schema=schema, patients=patients, T=T)
+
+
+def load_records_by_cell(data_path, schema_path, T: int = DEFAULT_T):
+    """The schema and the patient records, float64 mask included, that
+    ``load_cohort_by_cell`` stacks into its cohort."""
     schema = load_schema(schema_path)
     expected = ["patient_id", "t", "label"] + schema.names
     rows_by_patient: dict[str, list[tuple[int, str, list[str]]]] = {}
@@ -632,12 +647,18 @@ def load_cohort_by_cell(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                 X[f, t - 1] = value
                 M[f, t - 1] = 1.0
         patients.append(PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay))
-    return Cohort(schema=schema, patients=patients, T=T)
+    return schema, patients
 
 
 def synth_cohort_by_patient(cfg: SynthConfig) -> Cohort:
     """``synth_cohort`` with each patient's arrays built as a record of its
     own and the records stacked into a cohort afterwards."""
+    return Cohort(schema=synth_schema(cfg), patients=synth_records_by_patient(cfg), T=cfg.T)
+
+
+def synth_records_by_patient(cfg: SynthConfig) -> list[PatientRecord]:
+    """The patient records, float64 mask included, that
+    ``synth_cohort_by_patient`` stacks into its cohort."""
     schema = synth_schema(cfg)
     F, T, n = schema.F, cfg.T, cfg.n_patients
     stream = RngStream(cfg.seed)
@@ -708,7 +729,7 @@ def synth_cohort_by_patient(cfg: SynthConfig) -> Cohort:
         patients.append(
             PatientRecord(id=f"p{i:05d}", X=X, M=M, y=y, stay_length=stay)
         )
-    return Cohort(schema=schema, patients=patients, T=T)
+    return patients
 
 
 def fit_sequential(train_c, val_c, lr, dropout, H, cfg, rng, use_attention):

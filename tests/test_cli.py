@@ -23,6 +23,7 @@ from tsxplain.itshap import ExplainerConfig, explain_patient
 from tsxplain.model import TrainConfig
 from tsxplain.numerics import RngStream
 
+from conftest import freeze
 from oracles import cmi_scores_by_cell
 
 
@@ -252,6 +253,18 @@ class TestExplain:
         run(["synth", "--config", str(cfg_path)])
         run(["train", "--config", str(cfg_path), "--seed", "0,1"])
         return cfg_path, tmp_path / "out"
+
+    def test_attention_leaves_cohort_blocks_unwritten(self, prepared, monkeypatch):
+        """The attention map reads the cohort's X, which holds X⊙M: on a
+        frozen cohort it writes the same files."""
+        cfg_path, out = prepared
+        argv = ["explain", "--config", str(cfg_path), "--method", "attention"]
+        assert run(argv) == 0
+        want = (out / "importance_attention_all.csv").read_bytes()
+        load = data_mod.load_cohort
+        monkeypatch.setattr(data_mod, "load_cohort", lambda *a, **k: freeze(load(*a, **k)))
+        assert run(argv) == 0
+        assert (out / "importance_attention_all.csv").read_bytes() == want
 
     def test_cmi_without_checkpoint(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -820,6 +833,15 @@ class TestHeatmap:
         cli.save_heatmap_pgm(np.full((2, 3), 1.5), tmp_path / "flat.pgm")
         lines = (tmp_path / "flat.pgm").read_text().splitlines()
         assert lines[3].split() == ["0", "0", "0"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused(self, tmp_path, bad):
+        """A non-finite cell would be cast to a garbage gray level; the
+        FloatingPointError is the CLI's exit 4, and neither file is written."""
+        matrix = np.array([[0.0, 1.0], [bad, 4.0]])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cli.save_heatmap_pgm(matrix, tmp_path / "map.pgm")
+        assert list(tmp_path.iterdir()) == []
 
 
 # Fuzzed inputs: whatever the values, a command ends in a documented exit

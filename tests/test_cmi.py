@@ -507,7 +507,7 @@ def block_cohort(n: int, T: int, seen_rate: float, seed: int) -> Cohort:
     gen = RngStream(seed).generator()
     stay = gen.integers(1, T + 1, n)
     valid = np.arange(T) < stay[:, None]
-    M = ((gen.random((n, schema.F, T)) < seen_rate) & valid[:, None, :]).astype(float)
+    M = (gen.random((n, schema.F, T)) < seen_rate) & valid[:, None, :]
     X = gen.choice(BLOCK_VALUES, size=M.shape)
     onset = gen.integers(1, 2 * T, n)  # none on day 1, none within about half the stays
     y = ((np.arange(T) >= onset[:, None]) & valid).astype(float)

@@ -1,6 +1,7 @@
 import csv
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,14 @@ from tsxplain.errors import ConfigError, DataError, SchemaError
 from tsxplain.numerics import RngStream
 
 from conftest import small_schema, toy_cohort
-from oracles import load_cohort_by_cell, save_cohort_by_patient, synth_cohort_by_patient
+from oracles import (
+    float_mask_product,
+    load_cohort_by_cell,
+    load_records_by_cell,
+    save_cohort_by_patient,
+    synth_cohort_by_patient,
+    synth_records_by_patient,
+)
 
 
 class TestSchema:
@@ -138,13 +146,21 @@ RULES = {
 }
 
 
+def float_records(specs):
+    """Records of ``toy_cohort(specs)`` that own float64 copies of X and M,
+    as records built outside a cohort do; a cohort's own records are views
+    into its bool mask block."""
+    return [replace(p, X=p.X.copy(), M=p.M.astype(np.float64))
+            for p in toy_cohort(specs).patients]
+
+
 class TestValidation:
     @pytest.mark.parametrize("broken,named", [((1,), "p1"), ((0, 2), "p0")],
                              ids=["p1", "p0_p2"])
     @pytest.mark.parametrize("rule", list(RULES))
     def test_rule_names_first_offender(self, rule, broken, named):
         edit, message = RULES[rule]
-        records = toy_cohort([(None, 3), (None, 4), (None, 5)]).patients
+        records = float_records([(None, 3), (None, 4), (None, 5)])
         for i in broken:
             edit(records[i])
         with pytest.raises(DataError, match=f"^patient {named}: {message}"):
@@ -410,9 +426,9 @@ def raw_cohorts(draw):
     """An unchecked cohort of 0-4 patients with random stays, masks, labels
     and cells."""
     n, F, T = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    blocks = [draw(hnp.arrays(np.float64, shape, elements=elements)) for shape, elements in (
-        ((n, F, T), CELL_VALUES), ((n, F, T), st.sampled_from([0.0, 1.0])),
-        ((n, T), st.sampled_from([0.0, 1.0])))]
+    blocks = [draw(hnp.arrays(dtype, shape, elements=elements)) for dtype, shape, elements in (
+        (np.float64, (n, F, T), CELL_VALUES), (bool, (n, F, T), st.booleans()),
+        (np.float64, (n, T), st.sampled_from([0.0, 1.0])))]
     stay = draw(hnp.arrays(np.int64, n, elements=st.integers(1, T)))
     ids = np.array([f"p{i}" for i in range(n)], dtype=object)
     return Cohort.from_blocks(small_schema(F), T, *blocks, stay, ids)
@@ -438,7 +454,7 @@ class TestCohortIo:
                             -1e300, 5e-324, 3.0, -7.0, 0.1])
         X = np.where(gen.random((n, F, T)) < 0.5, gen.choice(special, (n, F, T)),
                      gen.normal(scale=1e3, size=(n, F, T)))
-        M = (gen.random((n, F, T)) < 0.7).astype(float)
+        M = gen.random((n, F, T)) < 0.7
         y = (gen.random((n, T)) < 0.3).astype(float)
         stay = gen.integers(1, T + 1, n)
         c = Cohort.from_blocks(small_schema(F), T, X, M, y, stay,
@@ -549,9 +565,10 @@ class TestCohortIo:
             assert [p.id for p in got.patients] == [p.id for p in want.patients]
             assert [p.stay_length for p in got.patients] == [
                 p.stay_length for p in want.patients]
-            for a, b in zip(got.stacked()[:3], want.stacked()[:3]):
-                assert a.dtype == b.dtype == np.float64
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            for a, b, dtype in zip(got.stacked()[:3], want.stacked()[:3],
+                                   (np.float64, bool, np.float64)):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("missing_rate", [0.0, 0.3])
     def test_load_then_save_reproduces_file(self, tmp_path, missing_rate):
@@ -638,3 +655,51 @@ class TestLongCsv:
         assert (tmp_path / "m.csv").read_bytes() == (
             b'# note\r\nname,t,value\r\n"a,b",3,\r\nx,-7,2.5\r\n'
         )
+
+
+def assert_masked_blocks(c: Cohort, records) -> None:
+    """The cohort holds the records' mask as bool and, in X, the float-mask
+    X⊙M bit for bit, signed zeros included."""
+    assert c.M.dtype == bool and c.X.dtype == np.float64
+    assert np.array_equal(c.M, [p.M == 1.0 for p in records])
+    want = float_mask_product(records)
+    assert c.X.shape == want.shape and c.X.tobytes() == want.tobytes()
+
+
+class TestMaskedBlocks:
+    """Every producer of a cohort keeps M as a bool block and X as X⊙M,
+    with the bits of the product the commands formed from a float64 mask."""
+
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.1, 0.3])
+    def test_synth(self, missing_rate):
+        cfg = SynthConfig(n_patients=40, missing_rate=missing_rate, seed=6)
+        assert_masked_blocks(synth_cohort(cfg), synth_records_by_patient(cfg))
+
+    def test_load(self, tmp_path):
+        c = synth_cohort(SynthConfig(n_patients=40, missing_rate=0.3, seed=6))
+        save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        got = load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=c.T)
+        _, records = load_records_by_cell(tmp_path / "d.csv", tmp_path / "s.txt", T=c.T)
+        assert_masked_blocks(got, records)
+
+    def test_records_constructor_masks_stored_values(self):
+        records = float_records([(None, 3), (2, 4), (None, 5)])
+        for p, value in zip(records, (5.0, -5.0, -0.0)):
+            p.M[1, 0] = 0.0
+            p.X[1, 0] = value
+        c = Cohort(small_schema(), records, T=6)
+        assert_masked_blocks(c, records)
+        stored = c.X[:, 1, 0]
+        assert np.array_equal(np.signbit(stored), [False, True, True]) and not stored.any()
+
+    def test_subset_split_and_folds(self, rng):
+        records = float_records([(None, 3), (2, 4), (None, 5), (1, 6), (None, 2), (3, 6)])
+        for p in records:
+            p.M[0, 0] = 0.0
+            p.X[0, 0] = -1.5
+        c = Cohort(small_schema(), records, T=6)
+        by_id = {p.id: p for p in records}
+        parts = [c.subset([4, 1, 1]), *split_train_test(c, 0.5, rng.child(0))]
+        parts += [part for fold in kfold(c, 3, rng.child(1)) for part in fold]
+        for part in parts:
+            assert_masked_blocks(part, [by_id[i] for i in part.ids])

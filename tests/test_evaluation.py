@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,18 @@ from tsxplain.evaluation import (
     save_metric_series,
     sens_spec_step,
 )
-from tsxplain.model import TrainConfig, train
+from tsxplain.model import (
+    TrainConfig,
+    TrainedModel,
+    init_params,
+    load_model,
+    save_model,
+    schema_fingerprint,
+    train,
+)
 from tsxplain.numerics import RngStream
 
-from conftest import toy_cohort
+from conftest import freeze, toy_cohort
 from oracles import average_ranks_loop
 
 
@@ -166,6 +176,29 @@ class TestEvaluate:
         model, _ = self.trained()
         with pytest.raises(DataError):
             evaluate(model, toy_cohort([], F=14))
+
+    def test_cohort_blocks_unwritten(self):
+        model, cohort = self.trained()
+        want = evaluate(model, cohort)
+        assert evaluate(model, freeze(cohort)) == want
+
+    def test_memory_below_one_input_block(self, tmp_path):
+        """The cohort's X holds X⊙M and goes to the model as it is, so
+        evaluating a GRU checkpoint allocates less than one (n, F, T)
+        float64 block."""
+        cohort = synth_cohort(SynthConfig(n_patients=2000, seed=3))
+        gru, _ = init_params(cohort.F, 8, RngStream(0), use_attention=False)
+        save_model(TrainedModel(gru=gru, attention=None,
+                                schema_fingerprint=schema_fingerprint(cohort.schema)),
+                   tmp_path / "ckpt.txt")
+        model = load_model(tmp_path / "ckpt.txt")
+        tracemalloc.start()
+        try:
+            evaluate(model, cohort)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cohort.X.nbytes == 2000 * cohort.F * cohort.T * 8, peak
 
 
 def table(values):

@@ -27,7 +27,7 @@ from tsxplain.itshap import (
 from tsxplain.model import TrainedModel, forward_prepared, init_params, schema_fingerprint
 from tsxplain.numerics import RngStream
 
-from conftest import small_schema, toy_cohort
+from conftest import freeze, small_schema, toy_cohort
 from oracles import (
     Coalition,
     aggregate_by_patient,
@@ -116,6 +116,16 @@ class TestBackground:
     def test_empty_cohort(self):
         with pytest.raises(DataError):
             background_matrix(toy_cohort([]))
+
+    def test_cohort_blocks_unwritten(self):
+        """The means read the cohort's X, which holds X⊙M, in place."""
+        c = toy_cohort([(None, 6), (2, 4), (None, 3)], F=3, T=6, seed=4)
+        c.patients[1].M[0, 1] = False
+        c.patients[1].X[0, 1] = -0.0
+        before = [block.copy() for block in (c.X, c.M)]
+        B = background_matrix(freeze(c))
+        assert np.isfinite(B).all()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((c.X, c.M), before))
 
 
 class TestPlayersAndPerturb:
@@ -705,3 +715,19 @@ class TestCoalitionBlocks:
         whole_batch_inputs = (2**16 - 2) * F * T * 8
         assert len(res.players) == 16
         assert peak < whole_batch_inputs / 3, (peak, whole_batch_inputs)
+
+    def test_fit_memory_bounded_by_its_design(self):
+        """The fit of a 16-player exact game builds its (K, m - 1) float64
+        design straight from the bool coalitions, so its traced peak stays
+        below two and a half designs: the design and the weighted copy that
+        the least-squares solve makes."""
+        Z, w, ridge = _coalitions(16, ExplainerConfig(exact_threshold=16), 0)
+        v = RngStream(28).generator().random(len(Z))
+        tracemalloc.start()
+        try:
+            _solve_constrained(Z, v, w, 0.1, 0.7, ridge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = Z.shape[0] * (Z.shape[1] - 1) * 8
+        assert peak < 2.5 * design, (peak, design)

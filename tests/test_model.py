@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsxplain import model as model_mod
-from tsxplain.data import ClassWeights, compute_class_weights, synth_cohort, SynthConfig
+from tsxplain.data import ClassWeights, Cohort, compute_class_weights, synth_cohort, SynthConfig
 from tsxplain.errors import ConfigError, DataError, ShapeError
 from tsxplain.model import (
     GRU_ARRAYS,
@@ -26,7 +26,7 @@ from tsxplain.model import (
 )
 from tsxplain.numerics import RngStream, sigmoid
 
-from conftest import small_schema, toy_cohort
+from conftest import freeze, small_schema, toy_cohort
 import oracles
 from oracles import fit_sequential, gru_bptt, gru_step, train_sequential
 
@@ -508,6 +508,19 @@ class TestBackward:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("use_attention", [False, True])
+    def test_cohort_blocks_unwritten(self, monkeypatch, use_attention):
+        """Every fit reads its cohort's X, which holds X⊙M, as its input:
+        with the cohort, its CV folds and its final split all frozen, a
+        write to any of them would raise."""
+        subset = Cohort.subset
+        monkeypatch.setattr(Cohort, "subset", lambda self, idx: freeze(subset(self, idx)))
+        cohort = freeze(toy_cohort([(1, 4)] * 4 + [(None, 4)] * 6, seed=6))
+        cfg = TrainConfig(max_epochs=2, batch_size=4, cv_folds=2, seed=7,
+                          grid_learning_rates=(0.1, 0.3))
+        model = train(cohort, cfg, use_attention=use_attention)
+        assert len(model.history["val_loss"]) == 2
+
     def test_deterministic(self):
         cohort = toy_cohort([(1, 4)] * 4 + [(None, 4)] * 6, seed=6)
         cfg = TrainConfig(max_epochs=3, batch_size=4, seed=7)

@@ -12,17 +12,22 @@ from conftest import toy_cohort
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PROBES = ROOT / "perfbench" / "probes.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracing  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(tracing)
-    finally:
-        del sys.modules[spec.name]
-    return tracing
+    return _load(TRACING, "perfbench_tracing")
 
 
 def test_traced_names_resolve():
@@ -45,6 +50,20 @@ def test_cohort_interface_used_by_perfbench():
     batch = Cohort(c.schema, c.patients[:2], c.T).stacked()
     for got, want in zip(batch, c.stacked()):
         assert np.array_equal(got, want[:2])
+
+
+def test_kernel_probes_run_on_a_cohort():
+    """The probes cut their batch through the records constructor and hand
+    its blocks to the public kernels, so a change to the cohort's blocks
+    that breaks them fails here, not only in a benchmark run."""
+    probes = _load(PROBES, "perfbench_probes")
+    probes.BATCH_REPEATS = probes.COALITION_REPEATS = 1  # this module copy only
+    c = toy_cohort([(None, 3), (2, 4), (None, 6), (1, 5)], F=4)
+    out = probes.kernel_probes(c)
+    assert sorted(out) == sorted(
+        [f"model.{kernel}_batch{variant}_ms" for kernel in ("forward", "backward")
+         for variant in ("", "_attention")] + ["model.forward_coalition_ms"])
+    assert all(np.isfinite(v) and v > 0 for v in out.values())
 
 
 def test_readme_config_loads(tmp_path):
