@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -462,27 +462,39 @@ def write_long_csv(path, rows) -> None:
             raise
 
 
-def read_long_csv(path, header: list[str]) -> list[list[str]]:
-    """Read a long-format CSV whose first row is ``header``, as one list of
-    cells per column. Another header is a SchemaError; a row of another
-    width, bytes that are not UTF-8 or a cell over the ``csv`` field limit
-    is a DataError."""
-    columns: list[list[str]] = [[] for _ in header]
+# Rows that read_long_csv hands over at once. A reader turns each block into
+# numbers before it asks for the next, so it holds one block of cells as
+# Python strings, never the whole file.
+READ_BLOCK = 1024
+
+
+def read_long_csv(path, header: list[str]) -> Iterator[tuple[list[int], list[tuple[str, ...]]]]:
+    """Read a long-format CSV whose first row is ``header``, ``READ_BLOCK``
+    rows at a time. Each block comes as the file line on which each of its
+    rows ends and one tuple of cells per column. Another header is a
+    SchemaError; a row of another width, bytes that are not UTF-8 or a cell
+    over the ``csv`` field limit is a DataError, raised when the reader
+    reaches it."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             got = next(reader, [])
             if got != header:
                 raise SchemaError(f"{path}: header {got} is not {header}")
+            lines, rows = [], []
             for row in reader:
                 if len(row) != len(header):
                     raise DataError(f"{path} line {reader.line_num}: {len(row)} cells, "
                                     f"expected {len(header)}")
-                for column, cell in zip(columns, row):
-                    column.append(cell)
+                lines.append(reader.line_num)
+                rows.append(row)
+                if len(rows) == READ_BLOCK:
+                    yield lines, list(zip(*rows))
+                    lines, rows = [], []
+            if rows:
+                yield lines, list(zip(*rows))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not CSV text: {exc}") from exc
-    return columns
 
 
 # Patients whose rows save_cohort formats at once: the file streams out one
@@ -497,14 +509,11 @@ def _format_cell(value: float) -> str:
 
 
 def _format_cells(values: np.ndarray) -> np.ndarray:
-    """``_format_cell`` of each value of a 1-D array. The integral values
-    that int64 holds are formatted in one pass; any other value, one at a
-    time."""
-    out = np.empty(values.shape, dtype=object)
-    fits = (values == np.trunc(values)) & (np.abs(values) < 2.0**63)
-    out[fits] = values[fits].astype(np.int64).astype(str)
-    out[~fits] = [_format_cell(v) for v in values[~fits].tolist()]
-    return out
+    """``_format_cell`` of each value of a 1-D array of finite values, each
+    distinct value formatted once (0.0 and -0.0 are one value, and both
+    format as ``0``)."""
+    unique, inverse = np.unique(values, return_inverse=True)
+    return np.array([_format_cell(v) for v in unique.tolist()], dtype=object)[inverse]
 
 
 def save_cohort(cohort: Cohort, data_path, schema_path) -> None:
@@ -532,45 +541,79 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     nonempty id, days 1..stay <= T, a 0/1 label, and in each feature cell
     nothing or a finite number (0 or 1 if binary). Any other header is a
     SchemaError, and any other row a DataError. ``M`` flags the nonempty
-    cells and ``X`` holds their values, 0 elsewhere: X⊙M as it is."""
+    cells and ``X`` holds their values, 0 elsewhere: X⊙M as it is.
+
+    Each block of rows is turned into numbers before the next is read, and
+    only a patient's first id cell is kept as a string. The first failure
+    of each check is recorded, and after the last block the first check
+    that failed is raised: an empty id, a patient in two blocks, the day
+    sequence, a day past T, the label, then per feature an unparsable cell
+    before a non-finite or non-binary one."""
     schema = load_schema(schema_path)
-    columns = read_long_csv(data_path, ["patient_id", "t", "label"] + schema.names)
+    failed: dict[tuple, str] = {}  # check -> message of its first failure
 
-    def reject(bad, message) -> None:
-        if bad.any():
-            raise DataError(message(int(np.argmax(bad))))
+    def record(check, bad, message) -> None:
+        if check not in failed and bad.any():
+            failed[check] = message(int(np.argmax(bad)))
 
-    ids, days, labels = (np.array(c, dtype=object) for c in columns[:3])
-    start = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])  # a block per patient
-    stay = np.diff(np.r_[start, len(ids)])
-    patient = np.repeat(np.arange(len(start)), stay)
-    day = np.arange(len(ids)) - start[patient] + 1
-    reject(ids == "", lambda r: f"cohort line {r + 2}: empty patient_id")
-    block_ids, blocks = np.unique(ids[start], return_counts=True)
-    reject(blocks > 1, lambda i: f"patient {block_ids[i]}: rows are not one block")
-    due = np.array([str(d) for d in range(stay.max(initial=0) + 1)], dtype=object)[day]
-    reject(days != due,
-           lambda r: f"patient {ids[r]}: time step {days[r]!r} where day {day[r]} is due")
-    reject(day > T, lambda r: f"time step {day[r]} outside 1..{T} for patient {ids[r]}")
-    reject((labels != "0") & (labels != "1"),
-           lambda r: f"patient {ids[r]}: label must be 0 or 1, got {labels[r]!r}")
+    starts, first_ids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=object)]
+    n_rows, n_patients, last_id, last_start = 0, 0, None, 0
 
-    X = np.zeros((len(start), schema.F, T))
+    def numbers(lines, columns):
+        """A block's patient index, day and label per row, and its (F, rows)
+        values and seen flags. Its strings are dropped on return, but for
+        the first id of each patient."""
+        nonlocal n_rows, n_patients, last_id, last_start
+        ids, days, labels = (np.array(c, dtype=object) for c in columns[:3])
+        rows = np.arange(n_rows, n_rows + len(ids))
+        new = np.concatenate(([ids[0] != last_id], ids[1:] != ids[:-1]))  # a block per patient
+        start = np.maximum.accumulate(np.where(new, rows, last_start))
+        day = rows - start + 1
+        patient = n_patients + np.cumsum(new) - 1
+        starts.append(rows[new])
+        first_ids.append(ids[new])
+        n_rows, n_patients, last_id, last_start = rows[-1] + 1, patient[-1] + 1, ids[-1], start[-1]
+
+        record((1,), ids == "", lambda r: f"cohort line {lines[r]}: empty patient_id")
+        record((3,), days != day.astype(str),
+               lambda r: f"patient {ids[r]}: time step {days[r]!r} where day {day[r]} is due")
+        record((4,), day > T, lambda r: f"time step {day[r]} outside 1..{T} for patient {ids[r]}")
+        record((5,), (labels != "0") & (labels != "1"),
+               lambda r: f"patient {ids[r]}: label must be 0 or 1, got {labels[r]!r}")
+
+        cells = np.array(columns[3:], dtype=object)
+        seen = cells != ""
+        values = np.zeros(cells.shape)
+        for f, feature in enumerate(schema.features):
+            try:
+                parsed = cells[f, seen[f]].astype(np.float64)
+            except ValueError as exc:
+                failed.setdefault((6, f, 0), f"bad value in {feature.name}: {exc}")
+                continue
+            at = np.flatnonzero(seen[f])
+            record((6, f, 1),
+                   ~np.isfinite(parsed) | (feature.kind == "binary") & ~np.isin(parsed, (0.0, 1.0)),
+                   lambda i: f"patient {ids[at[i]]} day {day[at[i]]}: "
+                             f"{'non-binary' if np.isfinite(parsed[i]) else 'non-finite'} "
+                             f"value {cells[f, at[i]]!r} in {feature.name}")
+            values[f, at] = parsed
+        return patient, day, labels == "1", values, seen
+
+    header = ["patient_id", "t", "label"] + schema.names
+    parts = [numbers(lines, columns) for lines, columns in read_long_csv(data_path, header)]
+    ids = np.concatenate(first_ids)
+    block_ids, blocks = np.unique(ids, return_counts=True)
+    record((2,), blocks > 1, lambda i: f"patient {block_ids[i]}: rows are not one block")
+    if failed:
+        raise DataError(failed[min(failed)])
+
+    X = np.zeros((n_patients, schema.F, T))
     M = np.zeros(X.shape, dtype=bool)
-    y = np.zeros((len(start), T))
-    y[patient, day - 1] = labels == "1"
-    for f, feature in enumerate(schema.features):
-        cells = np.array(columns[3 + f], dtype=object)
-        seen = np.flatnonzero(cells != "")
-        try:
-            values = cells[seen].astype(np.float64)
-        except ValueError as exc:
-            raise DataError(f"bad value in {feature.name}: {exc}") from exc
-        binary = feature.kind == "binary"
-        reject(~np.isfinite(values) | (binary & ~np.isin(values, (0.0, 1.0))),
-               lambda i: f"patient {ids[seen[i]]} day {day[seen[i]]}: "
-                         f"{'non-binary' if np.isfinite(values[i]) else 'non-finite'} "
-                         f"value {cells[seen[i]]!r} in {feature.name}")
-        X[patient[seen], f, day[seen] - 1] = values
-        M[patient[seen], f, day[seen] - 1] = True
-    return Cohort.from_blocks(schema, T, X, M, y, stay, ids[start])._validate()
+    y = np.zeros((n_patients, T))
+    while parts:  # each block's numbers are freed once they are in place
+        patient, day, label, values, seen = parts.pop()
+        X[patient, :, day - 1] = values.T
+        M[patient, :, day - 1] = seen.T
+        y[patient, day - 1] = label
+    stay = np.diff(np.r_[np.concatenate(starts), n_rows])
+    return Cohort.from_blocks(schema, T, X, M, y, stay, ids)._validate()

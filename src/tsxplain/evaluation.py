@@ -169,22 +169,22 @@ def load_metric_series(path) -> dict[str, MetricSeries]:
     SchemaError; a malformed row, an unknown metric, a non-finite number, a
     mean outside [0, 1] or a negative std (every metric is a proportion),
     or steps of a metric that are not 1..T once each raise DataError."""
-    columns = read_long_csv(path, ["metric", "t", "mean", "std", "n_defined"])
     rows: dict[str, list] = {m: [] for m in METRICS}
-    for r, (m, t, mean, std, n_def) in enumerate(zip(*columns)):
-        where = f"{path} line {r + 2}"
-        if m not in METRICS:
-            raise DataError(f"{where}: metric {m!r} is not one of {', '.join(METRICS)}")
-        try:
-            t, n_def = int(t), int(n_def)
-            mean, std = (None, None) if mean == std == "" else (float(mean), float(std))
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        if n_def < 0 or (mean is not None and not (math.isfinite(mean) and math.isfinite(std))):
-            raise DataError(f"{where}: n_defined must be >= 0 and mean and std finite")
-        if mean is not None and not (0.0 <= mean <= 1.0 and std >= 0.0):
-            raise DataError(f"{where}: mean must be in [0, 1] and std >= 0")
-        rows[m].append((t, mean, std, n_def))
+    for lines, columns in read_long_csv(path, ["metric", "t", "mean", "std", "n_defined"]):
+        for line, m, t, mean, std, n_def in zip(lines, *columns):
+            where = f"{path} line {line}"
+            if m not in METRICS:
+                raise DataError(f"{where}: metric {m!r} is not one of {', '.join(METRICS)}")
+            try:
+                t, n_def = int(t), int(n_def)
+                mean, std = (None, None) if mean == std == "" else (float(mean), float(std))
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            if n_def < 0 or (mean is not None and not (math.isfinite(mean) and math.isfinite(std))):
+                raise DataError(f"{where}: n_defined must be >= 0 and mean and std finite")
+            if mean is not None and not (0.0 <= mean <= 1.0 and std >= 0.0):
+                raise DataError(f"{where}: mean must be in [0, 1] and std >= 0")
+            rows[m].append((t, mean, std, n_def))
     out = {}
     for m, entries in rows.items():
         if not entries:

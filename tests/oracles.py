@@ -9,11 +9,13 @@ cell's samples patient by patient and codes joint alphabets with
 ``np.unique(axis=0)``, CMI screening that makes one entropy call per term
 of each (cell, round) score, and central-difference gradients, average ranks
 found by walking tied runs, a cohort CSV reader that groups rows by patient
-and parses one cell at a time, a cohort CSV writer that formats one patient
-record's cells one at a time, a synthetic cohort generator that builds one
-patient record at a time, X⊙M as the product of float64 value and mask
-blocks, a training loop that runs each grid point × fold fit on its own, and
-a scope average that adds each patient's importance matrix on its own."""
+and parses one cell at a time, a cohort CSV reader that holds the whole
+file as strings, one list per column, before it parses any, a cohort CSV
+writer that formats one patient record's cells one at a time, a synthetic
+cohort generator that builds one patient record at a time, X⊙M as the
+product of float64 value and mask blocks, a training loop that runs each
+grid point × fold fit on its own, and a scope average that adds each
+patient's importance matrix on its own."""
 
 import copy
 import csv
@@ -648,6 +650,71 @@ def load_records_by_cell(data_path, schema_path, T: int = DEFAULT_T):
                 M[f, t - 1] = 1.0
         patients.append(PatientRecord(id=pid, X=X, M=M, y=y, stay_length=stay))
     return schema, patients
+
+
+def load_cohort_by_column(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
+    """Cohort CSV reader that holds every cell of the file as a string, in one
+    list per column, until the whole file is read, and then checks and parses
+    each column at once, with the checks, order and messages of
+    ``load_cohort``."""
+    schema = load_schema(schema_path)
+    header = ["patient_id", "t", "label"] + schema.names
+    columns: list[list[str]] = [[] for _ in header]
+    lines: list[int] = []  # the file line on which each row ends
+    try:
+        with open(data_path, newline="") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, [])
+            if got != header:
+                raise SchemaError(f"{data_path}: header {got} is not {header}")
+            for row in reader:
+                if len(row) != len(header):
+                    raise DataError(f"{data_path} line {reader.line_num}: {len(row)} cells, "
+                                    f"expected {len(header)}")
+                lines.append(reader.line_num)
+                for column, cell in zip(columns, row):
+                    column.append(cell)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{data_path} is not CSV text: {exc}") from exc
+
+    def reject(bad, message) -> None:
+        if bad.any():
+            raise DataError(message(int(np.argmax(bad))))
+
+    ids, days, labels = (np.array(c, dtype=object) for c in columns[:3])
+    start = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])  # a block per patient
+    stay = np.diff(np.r_[start, len(ids)])
+    patient = np.repeat(np.arange(len(start)), stay)
+    day = np.arange(len(ids)) - start[patient] + 1
+    reject(ids == "", lambda r: f"cohort line {lines[r]}: empty patient_id")
+    block_ids, blocks = np.unique(ids[start], return_counts=True)
+    reject(blocks > 1, lambda i: f"patient {block_ids[i]}: rows are not one block")
+    due = np.array([str(d) for d in range(stay.max(initial=0) + 1)], dtype=object)[day]
+    reject(days != due,
+           lambda r: f"patient {ids[r]}: time step {days[r]!r} where day {day[r]} is due")
+    reject(day > T, lambda r: f"time step {day[r]} outside 1..{T} for patient {ids[r]}")
+    reject((labels != "0") & (labels != "1"),
+           lambda r: f"patient {ids[r]}: label must be 0 or 1, got {labels[r]!r}")
+
+    X = np.zeros((len(start), schema.F, T))
+    M = np.zeros(X.shape, dtype=bool)
+    y = np.zeros((len(start), T))
+    y[patient, day - 1] = labels == "1"
+    for f, feature in enumerate(schema.features):
+        cells = np.array(columns[3 + f], dtype=object)
+        seen = np.flatnonzero(cells != "")
+        try:
+            values = cells[seen].astype(np.float64)
+        except ValueError as exc:
+            raise DataError(f"bad value in {feature.name}: {exc}") from exc
+        binary = feature.kind == "binary"
+        reject(~np.isfinite(values) | (binary & ~np.isin(values, (0.0, 1.0))),
+               lambda i: f"patient {ids[seen[i]]} day {day[seen[i]]}: "
+                         f"{'non-binary' if np.isfinite(values[i]) else 'non-finite'} "
+                         f"value {cells[seen[i]]!r} in {feature.name}")
+        X[patient[seen], f, day[seen] - 1] = values
+        M[patient[seen], f, day[seen] - 1] = True
+    return Cohort.from_blocks(schema, T, X, M, y, stay, ids[start])._validate()
 
 
 def synth_cohort_by_patient(cfg: SynthConfig) -> Cohort:
