@@ -170,10 +170,11 @@ def _load_cohort(s: Settings) -> data_mod.Cohort:
     return data_mod.load_cohort(s.cohort_csv, s.schema, T=s.T)
 
 
-def _split(cohort: data_mod.Cohort, s: Settings, seed: int):
+def _split(cohort: data_mod.Cohort, s: Settings, seed: int, rows=None):
     """The (train, test) split of ``seed``: ``explain`` explains the test
-    patients of the model that ``train`` fitted on the train patients."""
-    return data_mod.split_train_test(cohort, s.train_fraction, RngStream(seed).child(100))
+    patients of the model that ``train`` fitted on the train patients. With
+    ``rows``, the split of those patients as indices into ``cohort``."""
+    return data_mod.split_train_test(cohort, s.train_fraction, RngStream(seed).child(100), rows)
 
 
 def _checkpoint(s: Settings, variant: str, seed: int) -> Path:
@@ -224,13 +225,15 @@ def cmd_train(s: Settings, args) -> int:
 
     runs: dict[str, list[eval_mod.StepTable]] = {v: [] for v in variants}
     for seed in s.seeds:
-        train_c, test_c = _split(cohort, s, seed)
+        # every fit and evaluation reads the loaded cohort through row indices
+        train_rows, test_rows = _split(cohort, s, seed, cohort.row_indices())
         tcfg = dataclasses.replace(s.train, seed=seed)
         for variant in variants:
-            trained = model_mod.train(train_c, tcfg, use_attention=(variant == "attention"))
+            trained = model_mod.train(cohort, tcfg, use_attention=(variant == "attention"),
+                                      rows=train_rows)
             s.out.mkdir(parents=True, exist_ok=True)
             model_mod.save_model(trained, _checkpoint(s, variant, seed))
-            table = eval_mod.evaluate(trained, test_c, s.threshold)
+            table = eval_mod.evaluate(trained, cohort, s.threshold, test_rows)
             header = ["metric", "t", "value"]
             data_mod.write_long_csv(s.out / f"run_{variant}_seed{seed}.csv", [header] + [
                 [m, t + 1, v] for m in eval_mod.METRICS for t, v in enumerate(table[m])

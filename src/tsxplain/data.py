@@ -124,16 +124,24 @@ class Cohort:
         """Check every rule over the whole blocks at once. The first patient
         that breaks any rule is named, with the first rule it breaks."""
         X, M, y, valid = self.stacked()
-        rules = [  # (flags of the offending patients, or of their cells; message)
+
+        def anywhere(flags):  # per patient, so no (n, F, T) flags outlive their rule
+            return flags.any(axis=tuple(range(1, flags.ndim)))
+
+        rules = [  # (flags of the offending patients; message)
             ((self.stay < 1) | (self.stay > self.T), f"stay_length out of 1..{self.T}"),
-            ((M != 0.0) & (M != 1.0), "mask must be binary"),
-            (M.any(axis=1) & ~valid, "mask set beyond stay"),
-            ((y != 0.0) & (y != 1.0), "labels must be 0 or 1"),
-            ((y != 0.0) & ~valid, "label set beyond stay"),
-            ((y[:, 1:] < y[:, :-1]) & valid[:, 1:], "labels must be non-decreasing"),
-            (~np.isfinite(X), "values must be finite"),
+            (np.zeros(len(M), dtype=bool) if M.dtype == bool
+             else anywhere((M != 0.0) & (M != 1.0)), "mask must be binary"),
+            (anywhere(M.any(axis=1) & ~valid), "mask set beyond stay"),
+            (anywhere((y != 0.0) & (y != 1.0)), "labels must be 0 or 1"),
+            (anywhere((y != 0.0) & ~valid), "label set beyond stay"),
+            (anywhere((y[:, 1:] < y[:, :-1]) & valid[:, 1:]), "labels must be non-decreasing"),
+            # a nan or an infinity is a patient's min or max, so no flag per cell is made
+            (~(np.isfinite(X.min(axis=(1, 2), initial=0.0))
+               & np.isfinite(X.max(axis=(1, 2), initial=0.0))),
+             "values must be finite"),
         ]
-        bad = np.array([b.any(axis=tuple(range(1, b.ndim))) for b, _ in rules])  # (rules, n)
+        bad = np.array([b for b, _ in rules])  # (rules, n)
         offenders = np.flatnonzero(bad.any(axis=0))
         if offenders.size:
             i = offenders[0]
@@ -170,10 +178,21 @@ class Cohort:
             raise DataError(f"no patients in scope {scope!r}")
         return picked.tolist()
 
+    def row_indices(self, rows=None) -> np.ndarray:
+        """``rows`` as an array of indices into the blocks, every patient by
+        default."""
+        return np.arange(len(self.ids)) if rows is None else np.asarray(rows, dtype=np.intp)
+
+    def labels(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """The labels (n, T) of the patients at ``rows`` (every patient by
+        default) and the flags of the steps within their stays."""
+        rows = slice(None) if rows is None else rows
+        return self.y[rows], np.arange(self.T) < self.stay[rows, None]
+
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return the blocks X, M and y themselves, shapes (n,F,T)/(n,T), and
         the (n, T) flags of the steps within each stay."""
-        return self.X, self.M, self.y, np.arange(self.T) < self.stay[:, None]
+        return self.X, self.M, self.y, self.labels()[1]
 
 
 @dataclass(frozen=True)
@@ -196,15 +215,16 @@ def build_labels(culture_day: Optional[int], stay_length: int, T: int) -> np.nda
     return y
 
 
-def compute_class_weights(train: Cohort) -> ClassWeights:
-    """Per-step weight = majority-class share among patients valid at that step.
+def compute_class_weights(train: Cohort, rows=None) -> ClassWeights:
+    """Per-step weight = majority-class share among the patients at ``rows``
+    (every patient by default) valid at that step.
 
     Steps with a single class or no valid patients fall back to 0.5, which
     reduces the balanced loss to plain BCE there.
     """
-    if not train.ids.size:
+    y, valid = train.labels(rows)
+    if not len(y):
         raise DataError("cannot compute class weights for an empty cohort")
-    _, _, y, valid = train.stacked()
     n = valid.sum(axis=0)
     pos = ((y == 1.0) & valid).sum(axis=0)
     both = (pos > 0) & (pos < n)
@@ -213,41 +233,50 @@ def compute_class_weights(train: Cohort) -> ClassWeights:
     return ClassWeights(beta=beta)
 
 
-def _stratified_order(c: Cohort, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+def _stratified_order(c: Cohort, rows: np.ndarray,
+                      rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``rows`` of the patients who ever turn positive and of
+    those who never do, each group shuffled: the one rule that the split and
+    the folds deal patients by."""
     gen = rng.generator()
-    positive = c.y.any(axis=1)
+    positive = c.y[rows].any(axis=1)
     pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
     return pos[gen.permutation(len(pos))], neg[gen.permutation(len(neg))]
 
 
-def split_train_test(
-    c: Cohort, train_fraction: float, rng: RngStream
-) -> tuple[Cohort, Cohort]:
+def split_train_test(c: Cohort, train_fraction: float, rng: RngStream, rows=None):
     """Patient-level disjoint split, stratified by whether the patient ever
-    turns positive."""
+    turns positive. Given ``rows`` (sorted indices into ``c``), it splits
+    those patients and returns the sorted (train, test) indices into ``c``;
+    without, it splits every patient and returns the two cohorts."""
     if not (0.0 < train_fraction < 1.0):
         raise DataError("train_fraction must be in (0, 1)")
-    if len(c.ids) < 2:
+    every = c.row_indices(rows)
+    if len(every) < 2:
         raise DataError("need at least 2 patients to split")
     train_idx, test_idx = [], []
-    for group in _stratified_order(c, rng):
+    for group in _stratified_order(c, every, rng):
         n_tr = int(round(train_fraction * len(group)))
         if len(group) >= 2:
             n_tr = min(max(n_tr, 1), len(group) - 1)
         train_idx.append(group[:n_tr])
         test_idx.append(group[n_tr:])
-    return tuple(c.subset(np.sort(np.concatenate(part))) for part in (train_idx, test_idx))
+    parts = tuple(every[np.sort(np.concatenate(part))] for part in (train_idx, test_idx))
+    return parts if rows is not None else tuple(map(c.subset, parts))
 
 
-def kfold(c: Cohort, k: int, rng: RngStream) -> list[tuple[Cohort, Cohort]]:
-    """k patient-disjoint stratified folds; each patient validates exactly once."""
+def kfold(c: Cohort, k: int, rng: RngStream, rows=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """k patient-disjoint stratified folds of ``rows`` (sorted indices into
+    ``c``, every patient by default): the sorted (train, validation) indices
+    into ``c`` of each fold. Each patient validates exactly once."""
+    every = c.row_indices(rows)
     if k < 2:
         raise DataError("k must be at least 2")
-    if k > len(c.ids):
-        raise DataError(f"k={k} exceeds patient count {len(c.ids)}")
-    order = np.concatenate(_stratified_order(c, rng))
+    if k > len(every):
+        raise DataError(f"k={k} exceeds patient count {len(every)}")
+    order = np.concatenate(_stratified_order(c, every, rng))
     fold = np.arange(len(order)) % k
-    return [(c.subset(np.sort(order[fold != i])), c.subset(np.sort(order[fold == i])))
+    return [(every[np.sort(order[fold != i])], every[np.sort(order[fold == i])])
             for i in range(k)]
 
 
@@ -543,14 +572,28 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     SchemaError, and any other row a DataError. ``M`` flags the nonempty
     cells and ``X`` holds their values, 0 elsewhere: X⊙M as it is.
 
-    Each block of rows is turned into numbers before the next is read, and
-    only a patient's first id cell is kept as a string. The first failure
-    of each check is recorded, and after the last block the first check
-    that failed is raised: an empty id, a patient in two blocks, the day
-    sequence, a day past T, the label, then per feature an unparsable cell
-    before a non-finite or non-binary one."""
+    A first pass counts the patients, so X, M and y are allocated once.
+    Then each block of rows is turned into numbers and written into them
+    before the next is read, so the loader holds the blocks and one block
+    of rows. Only a patient's first id cell is kept as a string. The first
+    failure of each check is recorded, and after the last block the first
+    check that failed is raised: an empty id, a patient in two blocks, the
+    day sequence, a day past T, the label, then per feature an unparsable
+    cell before a non-finite or non-binary one."""
     schema = load_schema(schema_path)
+    header = ["patient_id", "t", "label"] + schema.names
     failed: dict[tuple, str] = {}  # check -> message of its first failure
+    # count the patients (runs of rows with one id) first, so the blocks are
+    # allocated once: blocks grown while reading are moved by realloc, and
+    # that kept a long-running process's peak RSS where two copies of the
+    # values had put it
+    count, prev = 0, None
+    for _, (ids, *_) in read_long_csv(data_path, header):
+        count += sum(a != b for a, b in zip((prev,) + ids[:-1], ids))
+        prev = ids[-1]
+    X = np.zeros((count, schema.F, T))
+    M = np.zeros(X.shape, dtype=bool)
+    y = np.zeros((count, T))
 
     def record(check, bad, message) -> None:
         if check not in failed and bad.any():
@@ -559,10 +602,10 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     starts, first_ids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=object)]
     n_rows, n_patients, last_id, last_start = 0, 0, None, 0
 
-    def numbers(lines, columns):
-        """A block's patient index, day and label per row, and its (F, rows)
-        values and seen flags. Its strings are dropped on return, but for
-        the first id of each patient."""
+    def fill(lines, columns) -> None:
+        """Check a block's rows and write their days into the blocks. Its
+        strings are dropped on return, but for the first id of each
+        patient."""
         nonlocal n_rows, n_patients, last_id, last_start
         ids, days, labels = (np.array(c, dtype=object) for c in columns[:3])
         rows = np.arange(n_rows, n_rows + len(ids))
@@ -597,23 +640,17 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
                              f"{'non-binary' if np.isfinite(parsed[i]) else 'non-finite'} "
                              f"value {cells[f, at[i]]!r} in {feature.name}")
             values[f, at] = parsed
-        return patient, day, labels == "1", values, seen
+        keep = day <= T  # a day past T is not written: its check already failed
+        X[patient[keep], :, day[keep] - 1] = values.T[keep]
+        M[patient[keep], :, day[keep] - 1] = seen.T[keep]
+        y[patient[keep], day[keep] - 1] = labels[keep] == "1"
 
-    header = ["patient_id", "t", "label"] + schema.names
-    parts = [numbers(lines, columns) for lines, columns in read_long_csv(data_path, header)]
+    for lines, columns in read_long_csv(data_path, header):
+        fill(lines, columns)
     ids = np.concatenate(first_ids)
     block_ids, blocks = np.unique(ids, return_counts=True)
     record((2,), blocks > 1, lambda i: f"patient {block_ids[i]}: rows are not one block")
     if failed:
         raise DataError(failed[min(failed)])
-
-    X = np.zeros((n_patients, schema.F, T))
-    M = np.zeros(X.shape, dtype=bool)
-    y = np.zeros((n_patients, T))
-    while parts:  # each block's numbers are freed once they are in place
-        patient, day, label, values, seen = parts.pop()
-        X[patient, :, day - 1] = values.T
-        M[patient, :, day - 1] = seen.T
-        y[patient, day - 1] = label
     stay = np.diff(np.r_[np.concatenate(starts), n_rows])
     return Cohort.from_blocks(schema, T, X, M, y, stay, ids)._validate()

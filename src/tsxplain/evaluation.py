@@ -2,6 +2,9 @@
 
 Steps where a metric is undefined (a class is missing among the patients
 still in the ICU at that step) are flagged as None rather than imputed.
+``evaluate`` reads the test patients as row indices into the cohort they
+were loaded in and forwards them one ``model.row_blocks`` block at a time,
+so its memory is bounded by the block, not by the test set.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .data import Cohort, read_long_csv, write_long_csv
 from .errors import DataError
-from .model import TrainedModel, forward_prepared
+from .model import TrainedModel, forward_prepared, row_blocks
 
 METRICS = ("roc_auc", "sensitivity", "specificity")
 
@@ -80,15 +83,21 @@ def sens_spec_step(
 
 
 def evaluate(
-    model: TrainedModel, test: Cohort, threshold: Optional[float] = None
+    model: TrainedModel, test: Cohort, threshold: Optional[float] = None, rows=None
 ) -> StepTable:
-    """Per-step metric table over the patients valid at each step."""
-    if not test.ids.size:
+    """Per-step metric table over the patients of ``test`` at ``rows``
+    (indices, every patient by default) valid at each step. Each block of
+    rows has the bits of one forward over them all."""
+    rows = test.row_indices(rows)
+    if not rows.size:
         raise DataError("test cohort is empty")
     if threshold is None:
         threshold = model.threshold
-    X, _, y, valid = test.stacked()  # X holds X⊙M, the model's input
-    yhat = forward_prepared(X, model.gru, model.attention)
+    yhat = np.empty((len(rows), test.T))
+    for start, stop in row_blocks(len(rows)):
+        # X holds X⊙M, the model's input
+        yhat[start:stop] = forward_prepared(test.X[rows[start:stop]], model.gru, model.attention)
+    y, valid = test.labels(rows)
     table: StepTable = {m: [] for m in METRICS}
     for t in range(test.T):
         sel = valid[:, t]

@@ -13,7 +13,7 @@ which plays no pair whose weight is below float64 resolution. The two
 degenerate coalitions (empty/full) enter as exactness constraints, so the
 base value equals the background output and the attributions sum to the
 explained output exactly. A game assembles and forwards its coalition rows
-in blocks of at most ``COALITION_BLOCK``, with the bits of one forward over
+in the row blocks of ``model.row_blocks``, with the bits of one forward over
 them all, so the model's inputs and activations take memory bounded by the
 block; the fit's (K, m) design still grows with the K rows.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Cohort, write_long_csv
 from .errors import ConfigError, DataError, NotTrainedError, check_values, integer, number, one_of
-from .model import TrainedModel, forward_prepared
+from .model import TrainedModel, forward_prepared, row_blocks
 from .numerics import RngStream, weighted_least_squares
 
 
@@ -107,24 +107,6 @@ def _step_output(yhat: np.ndarray, explain_logit: bool) -> np.ndarray:
     return yhat
 
 
-# Coalition rows assembled and forwarded at once: a game's inputs take at most
-# this many rows of memory, however many rows the game plays
-COALITION_BLOCK = 1024
-
-
-def _blocks(K: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges of at most ``COALITION_BLOCK`` rows that cover
-    0..K in order, and that give each row the bits of one forward over all K.
-    BLAS computes a matmul's rows in tiles and a batch's last few rows with
-    other kernels, so every block starts at a multiple of half a block. numpy
-    sends a one-row matmul down yet another path, so a last block of one row
-    takes half a block's rows from the block before it."""
-    stops = list(range(COALITION_BLOCK, K, COALITION_BLOCK)) + [K]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        stops[-2] -= COALITION_BLOCK // 2
-    return list(zip([0] + stops[:-1], stops))
-
-
 def _evaluate_coalitions(
     model: TrainedModel,
     X: np.ndarray,
@@ -144,7 +126,7 @@ def _evaluate_coalitions(
     if mode == "cell":
         f_idx, tau_idx = np.array(players, dtype=np.intp).reshape(m, 2).T
     yhat = np.empty(K)
-    for start, stop in _blocks(K):
+    for start, stop in row_blocks(K):
         Zb = Z[start:stop]
         inputs = np.zeros((stop - start, F, T))
         if mode == "timestep":

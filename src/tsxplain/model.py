@@ -17,6 +17,12 @@ cross entropy with exact reverse-mode gradients through time, plain SGD,
 5-fold CV over the hyperparameter grid, and early stopping. The kernel takes
 optional leading model axes, so the CV fits of one hidden size train in
 lockstep as one stack, each with the bits it would have on its own.
+
+Every fit reads one cohort's blocks through its own row indices: a fold, a
+split or a batch is an index array, and only a batch, or one block of
+``ROW_BLOCK`` rows of a loss pass, is gathered at a time. ``row_blocks`` is
+the one rule that cuts a forward into row blocks, here, in evaluation and in
+IT-SHAP's coalition games.
 """
 
 from __future__ import annotations
@@ -36,6 +42,24 @@ from .errors import ConfigError, DataError, ShapeError, check_values, grid, inte
 from .numerics import RngStream, sigmoid, softmax_axis
 
 EPS = 1e-7
+
+# Rows that a wide forward (a loss pass, an evaluation, a coalition game)
+# gathers and runs at once: its inputs and activations take memory bounded
+# by the block, however many rows it covers
+ROW_BLOCK = 1024
+
+
+def row_blocks(K: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of at most ``ROW_BLOCK`` rows that cover
+    0..K in order, and that give each row the bits of one forward over all K.
+    BLAS computes a matmul's rows in tiles and a batch's last few rows with
+    other kernels, so every block starts at a multiple of half a block. numpy
+    sends a one-row matmul down yet another path, so a last block of one row
+    takes half a block's rows from the block before it."""
+    stops = list(range(ROW_BLOCK, K, ROW_BLOCK)) + [K]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        stops[-2] -= ROW_BLOCK // 2
+    return list(zip([0] + stops[:-1], stops))
 
 
 # the GRUParams arrays in field and checkpoint order; b_out is a Python float
@@ -417,24 +441,27 @@ def _apply_grads(gru: GRUParams, att: Optional[AttentionParams], grads: dict,
         param[sel] -= lr.reshape(lr.shape + (1,) * (grad.ndim - 1)) * grad
 
 
-def _epoch_loss(Xin, y, valid, gru, att, beta) -> float:
-    yhat = _forward_core(Xin, gru, att)
-    return tbbce(yhat, y, valid, beta)
+def _epoch_loss(c: Cohort, rows: np.ndarray, gru, att, beta) -> float:
+    """The balanced loss of one model over the patients at ``rows``,
+    forwarded one row block at a time."""
+    yhat = np.empty((len(rows), c.T))
+    for start, stop in row_blocks(len(rows)):
+        yhat[start:stop] = _forward_core(c.X[rows[start:stop]], gru, att)
+    return tbbce(yhat, *c.labels(rows), beta)
 
 
 class _Fit:
-    """One training run: its masked inputs, labels, class weights and
+    """One training run: the cohort it reads, its own training and
+    validation rows of it (sorted indices), its class weights and
     hyperparameters, its random streams (init, shuffle and dropout are
     children 0, 1 and 2 of ``rng``) and its early-stopping state. ``label``
     names the run in errors; only a run with ``record_train`` computes its
     training loss after every epoch."""
 
-    def __init__(self, train_c: Cohort, val_c: Cohort, lr: float, dropout: float, H: int,
-                 rng: RngStream, label: str, record_train: bool = False):
-        self.Xin, _, self.y, self.valid = train_c.stacked()
-        X_va, _, y_va, valid_va = val_c.stacked()
-        self.val = (X_va, y_va, valid_va)
-        self.beta = compute_class_weights(train_c)
+    def __init__(self, cohort: Cohort, rows: np.ndarray, val_rows: np.ndarray, lr: float,
+                 dropout: float, H: int, rng: RngStream, label: str, record_train: bool = False):
+        self.cohort, self.rows, self.val_rows = cohort, rows, val_rows
+        self.beta = compute_class_weights(cohort, rows)
         self.lr, self.dropout, self.H = lr, dropout, H
         self.rng, self.label, self.record_train = rng, label, record_train
         self.shuffle = rng.child(1).generator()
@@ -465,14 +492,14 @@ def _fit(
     it would have if the run were trained on its own.
     """
     H = fits[0].H
-    T = fits[0].y.shape[1]
-    gru, att = _stack([init_params(f.Xin.shape[1], H, f.rng.child(0), use_attention)
+    T = fits[0].cohort.T
+    gru, att = _stack([init_params(f.cohort.F, H, f.rng.child(0), use_attention)
                        for f in fits])
     lrs = np.array([f.lr for f in fits])
     betas = np.array([f.beta.beta for f in fits])
     live = list(fits)  # the run at each stack position
     for epoch in range(cfg.max_epochs):
-        orders = [f.shuffle.permutation(len(f.Xin)) for f in live]
+        orders = [f.shuffle.permutation(len(f.rows)) for f in live]
         for start in range(0, max(map(len, orders)), cfg.batch_size):
             batches = [order[start : start + cfg.batch_size] for order in orders]
             for rows in sorted({len(idx) for idx in batches} - {0}):
@@ -482,13 +509,13 @@ def _fit(
                 keep = (np.array([f.dropout_mask(rows, T) for f, _ in runs])
                         if any(f.dropout > 0.0 for f, _ in runs) else None)
                 g, a = _take(gru, att, sel)
-                Xb = np.array([f.Xin[idx] for f, idx in runs])
+                picked = [(f.cohort, f.rows[idx]) for f, idx in runs]
+                Xb = np.array([c.X[r] for c, r in picked])
+                yb, vb = (np.array(part) for part in zip(*(c.labels(r) for c, r in picked)))
                 # no cache outlives its step: a stack's cache is G models large
                 grads = _backward_core(
                     _forward_core(Xb, g, a, dropout_mask=keep, want_cache=True)[1], g, a,
-                    np.array([f.y[idx] for f, idx in runs]),
-                    np.array([f.valid[idx] for f, idx in runs]), betas[sel],
-                    dropout_mask=keep)
+                    yb, vb, betas[sel], dropout_mask=keep)
                 _apply_grads(gru, att, grads, lrs[sel], sel)
 
         stay = []
@@ -496,8 +523,8 @@ def _fit(
             g, a = _take(gru, att, j)
             losses = {}
             if f.record_train:
-                losses["train_loss"] = _epoch_loss(f.Xin, f.y, f.valid, g, a, f.beta)
-            losses["val_loss"] = val_loss = _epoch_loss(*f.val, g, a, f.beta)
+                losses["train_loss"] = _epoch_loss(f.cohort, f.rows, g, a, f.beta)
+            losses["val_loss"] = val_loss = _epoch_loss(f.cohort, f.val_rows, g, a, f.beta)
             if not all(map(math.isfinite, losses.values())):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch + 1} of the {f.label}: "
@@ -527,16 +554,16 @@ def _fit(
     return results
 
 
-def _cv_select(train_cohort: Cohort, points: list, cfg: TrainConfig, rng: RngStream,
-               use_attention: bool) -> tuple[float, float, int]:
+def _cv_select(cohort: Cohort, rows: np.ndarray, points: list, cfg: TrainConfig,
+               rng: RngStream, use_attention: bool) -> tuple[float, float, int]:
     """The grid point with the lowest mean best validation loss over the
-    folds (the first on ties). The CV fits of one hidden size train in
-    lockstep and record only validation losses."""
-    cv = {(gi, fi): _Fit(ftrain, fval, lr, dr, H, rng.child(2, gi, fi),
+    folds of ``rows`` (the first on ties). The CV fits of one hidden size
+    train in lockstep and record only validation losses."""
+    cv = {(gi, fi): _Fit(cohort, ftrain, fval, lr, dr, H, rng.child(2, gi, fi),
                          f"CV fit of grid point {gi + 1}, fold {fi + 1}")
           for gi, (lr, dr, H) in enumerate(points)
-          for fi, (ftrain, fval) in enumerate(kfold(train_cohort, cfg.cv_folds,
-                                                    rng.child(1, gi)))}
+          for fi, (ftrain, fval) in enumerate(kfold(cohort, cfg.cv_folds, rng.child(1, gi),
+                                                    rows))}
     for H in dict.fromkeys(H for _, _, H in points):
         _fit([f for f in cv.values() if f.H == H], cfg, use_attention)
     means = [float(np.mean([cv[gi, fi].best[0] for fi in range(cfg.cv_folds)]))
@@ -544,27 +571,31 @@ def _cv_select(train_cohort: Cohort, points: list, cfg: TrainConfig, rng: RngStr
     return points[means.index(min(means))]
 
 
-def train(train_cohort: Cohort, cfg: TrainConfig, use_attention: bool) -> TrainedModel:
+def train(cohort: Cohort, cfg: TrainConfig, use_attention: bool, rows=None) -> TrainedModel:
     """Grid-search hyperparameters with k-fold CV on the balanced loss, then
     retrain on the full training set with an internal 80/20 early-stopping
-    split and restore the best-validation-epoch parameters."""
-    if not train_cohort.ids.size:
+    split and restore the best-validation-epoch parameters. The training set
+    is the patients of ``cohort`` at ``rows`` (sorted indices), or all of
+    them; no fit copies it."""
+    rows = cohort.row_indices(rows)
+    if not rows.size:
         raise DataError("training cohort is empty")
     points = cfg.grid_points()
     rng = RngStream(cfg.seed)
     best_point = points[0]
     if len(points) > 1:
-        best_point = _cv_select(train_cohort, points, cfg, rng, use_attention)
+        best_point = _cv_select(cohort, rows, points, cfg, rng, use_attention)
 
     lr, dr, H = best_point
-    inner_train, inner_val = split_train_test(train_cohort, 0.8, rng.child(3))
-    final = _Fit(inner_train, inner_val, lr, dr, H, rng.child(4), "final fit", record_train=True)
+    inner_train, inner_val = split_train_test(cohort, 0.8, rng.child(3), rows)
+    final = _Fit(cohort, inner_train, inner_val, lr, dr, H, rng.child(4), "final fit",
+                 record_train=True)
     [(gru, att, history)] = _fit([final], cfg, use_attention)
     history["selected"] = {"learning_rate": lr, "dropout_rate": dr, "hidden_size": H}
     return TrainedModel(
         gru=gru,
         attention=att,
-        schema_fingerprint=schema_fingerprint(train_cohort.schema),
+        schema_fingerprint=schema_fingerprint(cohort.schema),
         history=history,
         threshold=cfg.threshold,
     )

@@ -13,9 +13,11 @@ and parses one cell at a time, a cohort CSV reader that holds the whole
 file as strings, one list per column, before it parses any, a cohort CSV
 writer that formats one patient record's cells one at a time, a synthetic
 cohort generator that builds one patient record at a time, X⊙M as the
-product of float64 value and mask blocks, a training loop that runs each
-grid point × fold fit on its own, and a scope average that adds each
-patient's importance matrix on its own."""
+product of float64 value and mask blocks, k-fold splits that copy each
+fold's patients into cohorts, a training loop that runs each grid point ×
+fold fit on its own on those copies, and a scope average that adds each
+patient's importance matrix on its own, and an evaluation that forwards
+a whole test cohort at once."""
 
 import copy
 import csv
@@ -41,13 +43,13 @@ from tsxplain.data import (
     _calibrate_intercept,
     build_labels,
     compute_class_weights,
-    kfold,
     load_schema,
     save_schema,
     split_train_test,
     synth_schema,
 )
 from tsxplain.errors import ConfigError, DataError, SchemaError, ShapeError
+from tsxplain.evaluation import METRICS, roc_auc_step, sens_spec_step
 from tsxplain.itshap import (
     _solve_constrained,
     cell_players,
@@ -379,6 +381,27 @@ def finite_diff_grad(
         e.flat[j] = h
         g.flat[j] = (f(p + e) - f(p - e)) / (2.0 * h)
     return g
+
+
+def evaluate_whole_batch(model, test, threshold=None):
+    """The per-step metric table of a test cohort and its (n, T) scores,
+    from one forward over all its patients at once."""
+    threshold = model.threshold if threshold is None else threshold
+    X, _, y, valid = test.stacked()
+    yhat = forward_prepared(X, model.gru, model.attention)
+    table = {m: [] for m in METRICS}
+    for t in range(test.T):
+        sel = valid[:, t]
+        if not sel.any():
+            for m in METRICS:
+                table[m].append(None)
+            continue
+        s, l = yhat[sel, t], y[sel, t]
+        table["roc_auc"].append(roc_auc_step(s, l))
+        sens, spec = sens_spec_step(s, l, threshold)
+        table["sensitivity"].append(sens)
+        table["specificity"].append(spec)
+    return table, yhat
 
 
 def average_ranks_loop(x: np.ndarray) -> np.ndarray:
@@ -862,6 +885,18 @@ def fit_sequential(train_c, val_c, lr, dropout, H, cfg, rng, use_attention):
     return best[1], best[2], history
 
 
+def kfold_cohorts(c, k, rng):
+    """k patient-disjoint folds stratified by whether a patient ever turns
+    positive, each a (train, validation) pair of cohort copies."""
+    gen = rng.generator()
+    positive = c.y.any(axis=1)
+    pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
+    order = np.concatenate([pos[gen.permutation(len(pos))], neg[gen.permutation(len(neg))]])
+    fold = np.arange(len(order)) % k
+    return [(c.subset(np.sort(order[fold != i])), c.subset(np.sort(order[fold == i])))
+            for i in range(k)]
+
+
 def train_sequential(train_cohort, cfg, use_attention):
     """``train`` with every grid point × fold CV fit and the final fit run
     one after another through ``fit_sequential``."""
@@ -873,7 +908,7 @@ def train_sequential(train_cohort, cfg, use_attention):
         best_point = points[0]
     else:
         for gi, (lr, dr, H) in enumerate(points):
-            folds = kfold(train_cohort, cfg.cv_folds, rng.child(1, gi))
+            folds = kfold_cohorts(train_cohort, cfg.cv_folds, rng.child(1, gi))
             scores = []
             for fi, (ftrain, fval) in enumerate(folds):
                 _, _, hist = fit_sequential(

@@ -874,7 +874,7 @@ SECTION_FIELDS = {
 }
 METRIC_CELLS = st.sampled_from([
     "roc_auc", "sensitivity", "specificity", "auroc", "", "0", "1", "2", "3", "-3",
-    "1.5", "0.7", " 2", "nan", "inf", "x",
+    "1.5", "0.7", " 2", "nan", "inf", "x", "1.7e308", "-1.7e308", "1.7976931348623157e308",
 ])
 FUZZ_SETTINGS = settings(max_examples=30, deadline=None)
 CHECKPOINT_LINES = st.one_of(
@@ -980,11 +980,15 @@ class TestFuzz:
                     row.append(cell)
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
-        (out / "delta_report.csv").unlink(missing_ok=True)
+        written = [out / "delta_report.csv", out / "report_summary.txt"]
+        for p in written:
+            p.unlink(missing_ok=True)
         code = run(["report", "--config", str(cfg_path)])
         assert code in (0, 3)
         if code == 0:
-            assert "nan" not in (out / "delta_report.csv").read_text()
+            for p in written:
+                text = p.read_text()
+                assert "nan" not in text and "inf" not in text, p.name
 
     @given(edit=st.sampled_from(["delete", "duplicate", "swap", "replace", "cut"]),
            data=st.data())

@@ -39,6 +39,7 @@ from tsxplain.numerics import RngStream
 from conftest import small_schema, toy_cohort
 from oracles import (
     float_mask_product,
+    kfold_cohorts,
     load_cohort_by_cell,
     load_cohort_by_column,
     load_records_by_cell,
@@ -281,22 +282,44 @@ class TestSplits:
         c = toy_cohort([(1, 3)] * 5 + [(None, 3)] * 7)
         folds = kfold(c, 3, rng)
         assert len(folds) == 3
-        val_ids = []
+        val_rows = []
         for tr, va in folds:
-            assert len(tr.patients) + len(va.patients) == 12
-            val_ids.extend(p.id for p in va.patients)
-        assert sorted(val_ids) == sorted(p.id for p in c.patients)
+            assert np.array_equal(np.union1d(tr, va), np.arange(12))
+            assert np.all(np.diff(tr) > 0) and np.all(np.diff(va) > 0)
+            val_rows.extend(va.tolist())
+        assert sorted(val_rows) == list(range(12))
 
     def test_kfold_stratified(self, rng):
         c = toy_cohort([(1, 3)] * 6 + [(None, 3)] * 6)
         for _, va in kfold(c, 3, rng):
-            assert va.y.any(axis=1).sum() == 2
+            assert c.y[va].any(axis=1).sum() == 2
 
     def test_kfold_deterministic(self):
         c = toy_cohort([(1, 3)] * 5 + [(None, 3)] * 5)
         a = kfold(c, 2, RngStream(4))
         b = kfold(c, 2, RngStream(4))
-        assert [p.id for p in a[0][1].patients] == [p.id for p in b[0][1].patients]
+        assert np.array_equal(a[0][1], b[0][1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_rule_matches_copied_subset(self, seed):
+        """The split, the folds and the class weights of some rows of a
+        cohort, taken as indices, select the patients (and weights) that
+        the same calls give on a copy of those rows."""
+        gen = RngStream(seed).generator()
+        c = toy_cohort([(int(d) if d else None, int(s)) for d, s in zip(
+            gen.integers(0, 3, 40), gen.integers(3, 7, 40))], T=6)
+        rows = np.flatnonzero(gen.random(40) < 0.6)
+        sub = c.subset(rows)
+        got = split_train_test(c, 0.7, RngStream(seed).child(1), rows)
+        want = split_train_test(sub, 0.7, RngStream(seed).child(1))
+        for g, w in zip(got, want):
+            assert c.ids[g].tolist() == w.ids.tolist()
+        for (g_tr, g_va), (w_tr, w_va) in zip(kfold(c, 3, RngStream(seed).child(2), rows),
+                                              kfold_cohorts(sub, 3, RngStream(seed).child(2))):
+            assert c.ids[g_tr].tolist() == w_tr.ids.tolist()
+            assert c.ids[g_va].tolist() == w_va.ids.tolist()
+        assert np.array_equal(compute_class_weights(c, rows).beta,
+                              compute_class_weights(sub).beta)
 
     def test_kfold_bad_k(self, rng):
         c = toy_cohort([(None, 3)] * 4)
@@ -677,22 +700,30 @@ class TestCohortIo:
             with pytest.raises(DataError, match="^cohort line 6: empty patient_id$"):
                 load(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
 
-    def test_loader_memory_is_blocks_plus_numbers(self, tmp_path):
-        """The loader keeps numbers, not a string per cell: on 2,000 patients
-        (many read blocks) it peaks at most 1.8 times the bytes of the blocks
-        it returns, and returns the blocks that were saved."""
+    def test_loader_memory_is_blocks_plus_one_read_block(self, tmp_path):
+        """The loader counts the patients, allocates the blocks it returns
+        once and writes each block of rows into them before it reads the
+        next: on 2,000 patients (many read blocks) its peak exceeds those
+        blocks by less than three times what holding one read block of cells
+        as strings takes, and it returns the blocks that were saved."""
         c = synth_cohort(SynthConfig(n_patients=2000, seed=0))
         save_cohort(c, tmp_path / "d.csv", tmp_path / "s.txt")
+        header = ["patient_id", "t", "label"] + c.schema.names
         tracemalloc.start()
         try:
+            first = next(read_long_csv(tmp_path / "d.csv", header))
+            one_block = tracemalloc.get_traced_memory()[1]
+            del first
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
             back = load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=c.T)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        blocks = [back.X, back.M, back.y, back.stay, back.ids]
-        assert peak <= 1.8 * sum(b.nbytes for b in blocks), (peak, [b.nbytes for b in blocks])
+        blocks = sum(b.nbytes for b in (back.X, back.M, back.y, back.stay, back.ids))
+        assert peak <= blocks + 3 * one_block, (peak, blocks, one_block)
         assert int(c.stay.sum()) > 10 * READ_BLOCK
-        for a, b in zip((c.X, c.M, c.y, c.stay), blocks):
+        for a, b in zip((c.X, c.M, c.y, c.stay), (back.X, back.M, back.y, back.stay)):
             assert a.tobytes() == b.tobytes()
         assert back.ids.tolist() == c.ids.tolist()
 
@@ -802,6 +833,6 @@ class TestMaskedBlocks:
         c = Cohort(small_schema(), records, T=6)
         by_id = {p.id: p for p in records}
         parts = [c.subset([4, 1, 1]), *split_train_test(c, 0.5, rng.child(0))]
-        parts += [part for fold in kfold(c, 3, rng.child(1)) for part in fold]
+        parts += [c.subset(rows) for fold in kfold(c, 3, rng.child(1)) for rows in fold]
         for part in parts:
             assert_masked_blocks(part, [by_id[i] for i in part.ids])

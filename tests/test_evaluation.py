@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsxplain import evaluation as eval_mod
 from tsxplain.data import SynthConfig, synth_cohort
 from tsxplain.errors import DataError
 from tsxplain.evaluation import (
@@ -21,6 +22,7 @@ from tsxplain.evaluation import (
     sens_spec_step,
 )
 from tsxplain.model import (
+    ROW_BLOCK,
     TrainConfig,
     TrainedModel,
     init_params,
@@ -32,7 +34,7 @@ from tsxplain.model import (
 from tsxplain.numerics import RngStream
 
 from conftest import freeze, toy_cohort
-from oracles import average_ranks_loop
+from oracles import average_ranks_loop, evaluate_whole_batch
 
 
 def pairwise_auc(scores, labels):
@@ -183,10 +185,12 @@ class TestEvaluate:
         assert evaluate(model, freeze(cohort)) == want
 
     def test_memory_below_one_input_block(self, tmp_path):
-        """The cohort's X holds X⊙M and goes to the model as it is, so
-        evaluating a GRU checkpoint allocates less than one (n, F, T)
-        float64 block."""
-        cohort = synth_cohort(SynthConfig(n_patients=2000, seed=3))
+        """The cohort's X holds X⊙M and goes to the model one row block at a
+        time, so evaluating a GRU checkpoint on 4,000 patients allocates
+        less than one row block of inputs, as much again for the forward's
+        activations, and the (n, T) scores and labels: nothing else grows
+        with the patients."""
+        cohort = synth_cohort(SynthConfig(n_patients=4000, seed=3))
         gru, _ = init_params(cohort.F, 8, RngStream(0), use_attention=False)
         save_model(TrainedModel(gru=gru, attention=None,
                                 schema_fingerprint=schema_fingerprint(cohort.schema)),
@@ -198,7 +202,36 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cohort.X.nbytes == 2000 * cohort.F * cohort.T * 8, peak
+        one_block = ROW_BLOCK * cohort.F * cohort.T * 8
+        assert peak < 2 * one_block + 2 * cohort.y.nbytes < cohort.X.nbytes, peak
+
+
+class TestBlockEvaluation:
+    """``evaluate`` forwards its rows one row block at a time; its table and
+    its scores must have the bits of one forward over a copy of the rows."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        return synth_cohort(SynthConfig(n_patients=2100, signal_strength=6.0, seed=8))
+
+    @pytest.mark.parametrize("use_attention", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1024, 1025, 2049])
+    def test_matches_whole_batch_oracle(self, cohort, n, use_attention, monkeypatch):
+        gen = RngStream(n).generator()
+        gru, att = init_params(cohort.F, 8, RngStream(9), use_attention)
+        if att is not None:  # a zero attention map is uniform; make it informative
+            att.W, att.b = gen.normal(scale=0.4, size=att.W.shape), gen.normal(size=att.b.shape)
+        model = TrainedModel(gru=gru, attention=att, threshold=0.2,
+                             schema_fingerprint=schema_fingerprint(cohort.schema))
+        rows = np.sort(gen.choice(len(cohort.ids), n, replace=False))
+        blocks, forward = [], eval_mod.forward_prepared
+        monkeypatch.setattr(eval_mod, "forward_prepared",
+                            lambda *args: blocks.append(forward(*args)) or blocks[-1])
+        table = evaluate(model, cohort, rows=rows)
+        want_table, want_scores = evaluate_whole_batch(model, cohort.subset(rows))
+        assert np.concatenate(blocks).tobytes() == want_scores.tobytes()
+        assert len(blocks) == -(-n // ROW_BLOCK)
+        assert table == want_table
 
 
 def table(values):

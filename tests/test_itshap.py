@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tsxplain import itshap
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
-    COALITION_BLOCK,
     ExplainerConfig,
     _coalitions,
     _solve_constrained,
@@ -24,7 +23,8 @@ from tsxplain.itshap import (
     shapley_values,
     timestep_players,
 )
-from tsxplain.model import TrainedModel, forward_prepared, init_params, schema_fingerprint
+from tsxplain.model import (ROW_BLOCK, TrainedModel, forward_prepared, init_params,
+                            schema_fingerprint)
 from tsxplain.numerics import RngStream
 
 from conftest import freeze, small_schema, toy_cohort
@@ -633,7 +633,7 @@ def _game_with(m, mode, F, T, seed):
 
 class TestCoalitionBlocks:
     """A game forwards its coalition rows in blocks of at most
-    ``COALITION_BLOCK``; it must agree bit for bit with the whole-batch
+    ``ROW_BLOCK``; it must agree bit for bit with the whole-batch
     evaluation in ``oracles``, and its memory must not grow with its rows."""
 
     @pytest.mark.parametrize("explain_logit", [False, True])
@@ -665,7 +665,7 @@ class TestCoalitionBlocks:
         X, M, t = _game_with(40 if mode == "cell" else 16, mode, F, T, seed=23)
         got = explain_step(model, X, M, t, B, cfg)
         weights, base, players, output = explain_step_game(model, X, M, t, B, cfg)
-        assert coalitions_by_row(len(players), cfg, t)[0].shape[0] > COALITION_BLOCK
+        assert coalitions_by_row(len(players), cfg, t)[0].shape[0] > ROW_BLOCK
         assert np.array_equal(got.weights, weights) and got.players == players
         assert got.base == base and got.output == output
 
@@ -688,16 +688,6 @@ class TestCoalitionBlocks:
             want = evaluate_coalitions_whole_batch(model, X, M, T, B, players, "cell", Z,
                                                    False)
             assert np.array_equal(got, want), seed
-
-    def test_blocks_cover_the_rows_without_a_one_row_block(self):
-        for K in range(4 * COALITION_BLOCK + 3):
-            blocks = itshap._blocks(K)
-            sizes = [stop - start for start, stop in blocks]
-            assert blocks[0][0] == 0 and blocks[-1][1] == K
-            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            assert max(sizes) <= COALITION_BLOCK and (K <= 1 or min(sizes) > 1)
-            assert all(start % (COALITION_BLOCK // 2) == 0 for start, _ in blocks)
-            assert (len(blocks) == 1) == (K <= COALITION_BLOCK)
 
     def test_game_memory_bounded_by_the_block(self):
         """A 16-player exact cell game plays 65,534 rows; on an attention

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from tsxplain.model import (
     forward,
     forward_prepared,
     init_params,
+    ROW_BLOCK,
     load_model,
+    row_blocks,
     save_model,
     schema_fingerprint,
     tbbce,
@@ -507,19 +511,78 @@ class TestBackward:
         assert abs(grads["b_out"]) <= 1e-10
 
 
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_without_a_one_row_block(self):
+        for K in range(4 * ROW_BLOCK + 3):
+            blocks = row_blocks(K)
+            sizes = [stop - start for start, stop in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == K
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) <= ROW_BLOCK and (K <= 1 or min(sizes) > 1)
+            assert all(start % (ROW_BLOCK // 2) == 0 for start, _ in blocks)
+            assert (len(blocks) == 1) == (K <= ROW_BLOCK)
+
+
 class TestTrain:
     @pytest.mark.parametrize("use_attention", [False, True])
-    def test_cohort_blocks_unwritten(self, monkeypatch, use_attention):
-        """Every fit reads its cohort's X, which holds X⊙M, as its input:
-        with the cohort, its CV folds and its final split all frozen, a
-        write to any of them would raise."""
-        subset = Cohort.subset
-        monkeypatch.setattr(Cohort, "subset", lambda self, idx: freeze(subset(self, idx)))
+    def test_cohort_blocks_unwritten(self, use_attention):
+        """Every fit reads the cohort's X, which holds X⊙M, as its input,
+        through its own rows: with the cohort frozen, a write to it would
+        raise."""
         cohort = freeze(toy_cohort([(1, 4)] * 4 + [(None, 4)] * 6, seed=6))
         cfg = TrainConfig(max_epochs=2, batch_size=4, cv_folds=2, seed=7,
                           grid_learning_rates=(0.1, 0.3))
         model = train(cohort, cfg, use_attention=use_attention)
         assert len(model.history["val_loss"]) == 2
+
+    def test_no_subset_copies(self, monkeypatch):
+        """Folds, the final split and every fit read the training rows as
+        indices into the one cohort: ``train`` never copies a subset, also
+        when it is given the rows of a split."""
+        calls = []
+        subset = Cohort.subset
+        monkeypatch.setattr(Cohort, "subset",
+                            lambda self, idx: calls.append(len(idx)) or subset(self, idx))
+        cohort = toy_cohort([(1, 4)] * 6 + [(None, 4)] * 9, seed=6)
+        cfg = TrainConfig(max_epochs=2, batch_size=4, cv_folds=2, seed=7,
+                          grid_learning_rates=(0.1, 0.3))
+        train(cohort, cfg, use_attention=False)
+        train(cohort, cfg, use_attention=True, rows=np.arange(1, 15, 1))
+        assert calls == []
+
+    def test_rows_match_a_copied_subset(self):
+        """Training on some rows of a cohort writes the checkpoint that
+        training on a copy of those rows writes."""
+        cohort = synth_cohort(SynthConfig(n_patients=60, signal_strength=6.0, T=6, seed=2))
+        rows = np.flatnonzero(RngStream(3).generator().random(60) < 0.7)
+        cfg = TrainConfig(max_epochs=3, batch_size=8, cv_folds=2, seed=4, hidden_size=3,
+                          grid_learning_rates=(0.2, 0.6))
+        for use_attention in (False, True):
+            a = train(cohort, cfg, use_attention, rows=rows)
+            b = train(cohort.subset(rows), cfg, use_attention)
+            assert a.history == b.history
+            for k in GRU_ARRAYS:
+                assert np.array_equal(getattr(a.gru, k), getattr(b.gru, k)), k
+
+    def test_cv_memory_below_its_fold_copies(self):
+        """The CV stack holds index arrays, not copies: its traced peak, most
+        of it the stack's per-step caches, stays below half the bytes that
+        copying every fit's training and validation patients (X, M and y)
+        would take."""
+        cohort = synth_cohort(SynthConfig(n_patients=1500, signal_strength=6.0, seed=5))
+        cfg = TrainConfig(max_epochs=1, batch_size=64, cv_folds=3, seed=6,
+                          grid_learning_rates=(0.5, 1.0))
+        points = cfg.grid_points()
+        rows = np.arange(len(cohort.ids))
+        tracemalloc.start()
+        try:
+            model_mod._cv_select(cohort, rows, points, cfg, RngStream(cfg.seed), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_patient = sum(b[0].nbytes for b in (cohort.X, cohort.M, cohort.y))
+        fold_copies = len(points) * cfg.cv_folds * len(rows) * per_patient
+        assert peak < fold_copies / 2, (peak, fold_copies)
 
     def test_deterministic(self):
         cohort = toy_cohort([(1, 4)] * 4 + [(None, 4)] * 6, seed=6)
