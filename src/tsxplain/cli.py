@@ -234,10 +234,9 @@ def cmd_train(s: Settings, args) -> int:
             s.out.mkdir(parents=True, exist_ok=True)
             model_mod.save_model(trained, _checkpoint(s, variant, seed))
             table = eval_mod.evaluate(trained, cohort, s.threshold, test_rows)
-            header = ["metric", "t", "value"]
-            data_mod.write_long_csv(s.out / f"run_{variant}_seed{seed}.csv", [header] + [
-                [m, t + 1, v] for m in eval_mod.METRICS for t, v in enumerate(table[m])
-            ])
+            data_mod.write_long_csv(
+                s.out / f"run_{variant}_seed{seed}.csv", [["metric", "t", "value"]],
+                [[[m] * cohort.T, np.arange(1, cohort.T + 1), table[m]] for m in eval_mod.METRICS])
             runs[variant].append(table)
             print(f"seed {seed} variant {variant}: trained and evaluated")
 
@@ -282,8 +281,9 @@ def cmd_explain(s: Settings, args) -> int:
         explained = cohort
         W = model_mod.attention_matrix(cohort.X, trained.attention)  # X holds X⊙M
     else:
-        train_c, test_c = _split(cohort, s, s.seeds[0])
-        explained = test_c.subset(range(min(s.max_patients, len(test_c.ids))))
+        # the split as row indices, so neither side is copied
+        train_rows, test_rows = _split(cohort, s, s.seeds[0], cohort.row_indices())
+        explained = cohort.subset(test_rows[:s.max_patients])
         # an empty scope or too small a sample budget fails before any work;
         # a patient's largest game has the observed cells as its players
         explained.scope_indices(scope)
@@ -291,7 +291,7 @@ def cmd_explain(s: Settings, args) -> int:
         W, base = np.zeros(explained.X.shape), np.zeros(explained.y.shape)
         # numpy's overflow warnings stay silent: the check below is the one report
         with np.errstate(over="ignore", invalid="ignore"):
-            B = itshap_mod.background_matrix(train_c)
+            B = itshap_mod.background_matrix(cohort, train_rows)
             for i, stay in enumerate(explained.stay.tolist()):
                 W[i], base[i] = itshap_mod.explain_patient(
                     trained, explained.X[i], explained.M[i], B, s.itshap, stay,

@@ -120,19 +120,54 @@ def conditional_mutual_information(a, b, z) -> float:
     return entropy(a, z) + entropy(b, z) - entropy(a, b, z) - entropy(z)
 
 
+def _quantile_edges(ordered: np.ndarray, n: np.ndarray, n_bins: int) -> np.ndarray:
+    """The ``n_bins - 1`` inner equal-frequency edges (k, n_bins - 1) of each
+    row of ``ordered`` (k, m), whose first ``n[k] >= 1`` entries are its
+    values in order. This is ``np.quantile``'s linear method written out over
+    all rows at once: its virtual index ``(n - 1) * q``, its neighbours (both
+    the last value at or past the end) and its ``_lerp``, the ``t >= 0.5``
+    branch included, so each edge has the bits ``np.quantile`` gives over
+    the row's values (a signed zero may take the other sign, as sort and
+    partition may order -0.0 and 0.0 either way)."""
+    last = n[:, None] - 1
+    virtual = last * np.linspace(0, 1, n_bins + 1)[1:-1]
+    previous = np.floor(virtual)
+    above = virtual >= last
+    previous[above] = -1
+    gamma = virtual - previous
+    below = np.where(above, last, previous.astype(np.intp))
+    a = np.take_along_axis(ordered, below, axis=1)
+    b = np.take_along_axis(ordered, np.where(above, last, below + 1), axis=1)
+    diff = b - a
+    edges = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=edges, where=gamma >= 0.5)
+    return edges
+
+
+def _frequency_codes(values: np.ndarray, seen: np.ndarray, n_bins: int) -> np.ndarray:
+    """The equal-frequency bin codes of each row's observed values (k, m),
+    0 at the other cells: the rows, padded with +inf past their observed
+    values, are sorted once and their edges found at once; a value's code
+    counts the distinct edges at or below it."""
+    ordered = np.sort(np.where(seen, values, np.inf), axis=1)
+    edges = _quantile_edges(ordered, seen.sum(axis=1), n_bins)
+    codes = np.zeros(values.shape, dtype=np.int64)
+    for f in range(len(values)):
+        codes[f, seen[f]] = np.searchsorted(np.unique(edges[f]), values[f, seen[f]], side="right")
+    return codes
+
+
 def discretize(values: np.ndarray, n_bins: int, binning: str) -> np.ndarray:
     """Map continuous values to integer bin codes."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return values.astype(np.int64)
     if binning == "equal_frequency":
-        qs = np.quantile(values, np.linspace(0, 1, n_bins + 1)[1:-1])
-        edges = np.unique(qs)
-    else:
-        lo, hi = values.min(), values.max()
-        if hi == lo:
-            return np.zeros(values.shape, dtype=np.int64)
-        edges = np.linspace(lo, hi, n_bins + 1)[1:-1]
+        return _frequency_codes(values[None], np.ones((1, values.size), dtype=bool), n_bins)[0]
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        return np.zeros(values.shape, dtype=np.int64)
+    edges = np.linspace(lo, hi, n_bins + 1)[1:-1]
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
@@ -193,7 +228,11 @@ def _step_codes(X, seen, scored, kinds, cfg: CmiConfig) -> np.ndarray:
     codes = np.zeros(X.shape, dtype=np.int64)
     flags = scored[kinds[scored] == "binary"]
     codes[flags] = np.searchsorted(np.unique(X[flags][seen[flags]]), X[flags])
-    for f in scored[kinds[scored] == "numeric"]:
+    numeric = scored[kinds[scored] == "numeric"]
+    if cfg.binning == "equal_frequency":
+        codes[numeric] = _frequency_codes(X[numeric], seen[numeric], cfg.n_bins)
+        return codes
+    for f in numeric:
         codes[f, seen[f]] = discretize(X[f, seen[f]], cfg.n_bins, cfg.binning)
     return codes
 
@@ -298,8 +337,9 @@ def save_scores(s: CmiScores, selection: Optional[np.ndarray], feature_names, pa
     """Write `feature,t,score_bits,n_valid,selected` rows."""
     F, T = s.S.shape
     header = ["feature", "t", "score_bits", "n_valid", "selected"]
-    write_long_csv(path, [header] + [
-        [feature_names[f], t + 1, s.S[f, t], int(s.valid_counts[f, t]),
-         None if selection is None else str(int(selection[f, t]))]
-        for f in range(F) for t in range(T)
-    ])
+    write_long_csv(path, [header], [[
+        np.repeat(np.array(feature_names, dtype=object), T), np.tile(np.arange(1, T + 1), F),
+        s.S.ravel(), s.valid_counts.ravel().astype(np.int64),
+        np.full(F * T, None, dtype=object) if selection is None
+        else selection.ravel().astype(np.int64),
+    ]])

@@ -9,7 +9,9 @@ the stay are all zero.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -464,27 +466,44 @@ def load_schema(path) -> FeatureSchema:
     return FeatureSchema(tuple(feats))
 
 
-def _finite(value: float, path) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise FloatingPointError(f"{path}: non-finite value {value!r}; nothing written")
-    return value
+def _cells(column) -> tuple[list, np.ndarray]:
+    """A column's cells as ``csv.writer`` writes them, and the flags of its
+    non-finite floats. An array gives its Python values: a float array is
+    checked with one ``np.isfinite``, and any other array (ints, or an
+    object array of strings, ints or ``None``) is not checked. In a list or
+    tuple a float (a numpy one too) becomes a Python float and is checked.
+    ``csv`` writes a Python float as its ``repr``."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return column.tolist(), ~np.isfinite(column)
+        return column.tolist(), np.zeros(len(column), dtype=bool)
+    cells = [float(v) if isinstance(v, float) else v for v in column]
+    return cells, np.array([isinstance(v, float) and not math.isfinite(v) for v in cells],
+                           dtype=bool)
 
 
-def write_long_csv(path, rows) -> None:
-    """Write a long-format CSV artefact, header rows included. Floats are
-    written as ``repr`` so ``float(cell)`` restores them bit-exactly, ``None``
-    (an undefined value) becomes an empty cell, and ints and strings are
-    written unchanged. A non-finite float is a FloatingPointError, and on any
-    error while the rows are written the file is removed."""
+def write_long_csv(path, head, blocks) -> None:
+    """Write a long-format CSV artefact: the rows of ``head`` (its header,
+    after any comment rows) as they are, then each of ``blocks``, a list of
+    equally long columns, with one ``writerows``. Floats are written as
+    ``repr`` so ``float(cell)`` restores them bit-exactly, ``None`` (an
+    undefined value) becomes an empty cell, and ints and strings are written
+    unchanged. A non-finite float is a FloatingPointError that names the
+    first one in row order, and on any error while the rows are written the
+    file is removed."""
     with open(path, "w", newline="") as fh:
         try:
             writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow([
-                    repr(_finite(v, path)) if isinstance(v, float) else ("" if v is None else v)
-                    for v in row
-                ])
+            writer.writerows(head)
+            for block in blocks:
+                columns, bad = zip(*map(_cells, block)) if len(block) else ((), ())
+                if len(set(map(len, columns))) > 1:
+                    raise ValueError(f"{path}: columns of unequal length in one block")
+                if any(flags.any() for flags in bad):
+                    row, col = np.argwhere(np.array(bad).T)[0]
+                    raise FloatingPointError(
+                        f"{path}: non-finite value {columns[col][row]!r}; nothing written")
+                writer.writerows(zip(*columns))
         except BaseException:
             fh.close()
             Path(path).unlink()
@@ -497,33 +516,82 @@ def write_long_csv(path, rows) -> None:
 READ_BLOCK = 1024
 
 
+def _row_lines(rows, before: int, after: Optional[int] = None) -> list[int]:
+    """The file line on which each of ``rows`` ends, the first of them read
+    after line ``before`` and the last ending on line ``after``. A row spans
+    one line more than the line breaks inside its quoted cells, which are
+    counted only when the rows span more lines than there are rows (or
+    ``after`` is not known)."""
+    if after is not None and after - before == len(rows):
+        return list(range(before + 1, after + 1))
+    spans = [1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+             for row in rows]
+    return list(itertools.accumulate(spans, initial=before))[1:]
+
+
+def _check_widths(path, rows, lines: list[int], width: int) -> None:
+    """Raise the DataError of the first of ``rows`` that is not ``width``
+    cells wide, if there is one."""
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise DataError(f"{path} line {lines[i]}: {len(rows[i])} cells, expected {width}")
+
+
 def read_long_csv(path, header: list[str]) -> Iterator[tuple[list[int], list[tuple[str, ...]]]]:
     """Read a long-format CSV whose first row is ``header``, ``READ_BLOCK``
     rows at a time. Each block comes as the file line on which each of its
-    rows ends and one tuple of cells per column. Another header is a
-    SchemaError; a row of another width, bytes that are not UTF-8 or a cell
-    over the ``csv`` field limit is a DataError, raised when the reader
-    reaches it."""
+    rows ends and one tuple of cells per column. A block is taken from the
+    ``csv`` reader with ``itertools.islice`` and its widths are checked at
+    once; a row's line is derived from ``reader.line_num``. Another header
+    is a SchemaError; a row of another width, bytes that are not UTF-8 or a
+    cell over the ``csv`` field limit is a DataError, raised when the reader
+    reaches it: of a row of another width and bad text in one block, the
+    one first in the file."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             got = next(reader, [])
             if got != header:
                 raise SchemaError(f"{path}: header {got} is not {header}")
-            lines, rows = [], []
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(f"{path} line {reader.line_num}: {len(row)} cells, "
-                                    f"expected {len(header)}")
-                lines.append(reader.line_num)
-                rows.append(row)
-                if len(rows) == READ_BLOCK:
-                    yield lines, list(zip(*rows))
-                    lines, rows = [], []
-            if rows:
+            while True:
+                before, rows = reader.line_num, []
+                try:
+                    rows.extend(itertools.islice(reader, READ_BLOCK))
+                except (UnicodeDecodeError, csv.Error):
+                    # the rows read before the bad text are checked first
+                    _check_widths(path, rows, _row_lines(rows, before), len(header))
+                    raise
+                if not rows:
+                    return
+                lines = _row_lines(rows, before, reader.line_num)
+                _check_widths(path, rows, lines, len(header))
                 yield lines, list(zip(*rows))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path} is not CSV text: {exc}") from exc
+
+
+def _count_patients(path, header: list[str]) -> int:
+    """The runs of rows with one id in the blocks of the cohort CSV at
+    ``path`` that ``read_long_csv`` will yield, found by a bare ``csv`` pass
+    over their first cells. Its blocks are ``read_long_csv``'s, and it stops
+    at the first block with a row of another width or bytes that are not
+    CSV text, the block on which ``read_long_csv`` raises without yielding
+    it; after another header it counts nothing."""
+    count, last = 0, None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, []) != header:
+                return 0
+            while rows := list(itertools.islice(reader, READ_BLOCK)):
+                if set(map(len, rows)) != {len(header)}:
+                    break
+                ids = list(map(operator.itemgetter(0), rows))
+                count += sum(map(operator.ne, [last] + ids[:-1], ids))
+                last = ids[-1]
+    except (UnicodeDecodeError, csv.Error):
+        pass  # the reading pass raises it
+    return count
 
 
 # Patients whose rows save_cohort formats at once: the file streams out one
@@ -533,36 +601,50 @@ def read_long_csv(path, header: list[str]) -> Iterator[tuple[list[int], list[tup
 WRITE_BLOCK = 64
 
 
-def _format_cell(value: float) -> str:
-    return str(int(value)) if value == int(value) else repr(value)
+# the cells of the integral values 0..SMALL_INTS - 1, such as binary flags and
+# counts, which _format_cells takes from a table
+SMALL_INTS = 1024
+SMALL_INT_CELLS = np.array([str(i) for i in range(SMALL_INTS)], dtype=object)
 
 
 def _format_cells(values: np.ndarray) -> np.ndarray:
-    """``_format_cell`` of each value of a 1-D array of finite values, each
-    distinct value formatted once (0.0 and -0.0 are one value, and both
-    format as ``0``)."""
-    unique, inverse = np.unique(values, return_inverse=True)
-    return np.array([_format_cell(v) for v in unique.tolist()], dtype=object)[inverse]
+    """The cohort cell of each value of a 1-D array of finite values: an
+    integral value as an int (so 0.0 and -0.0 both format as ``0``), from a
+    table when it is small, and any other value as its ``repr``."""
+    integral = values == np.trunc(values)
+    small = integral & (values >= 0) & (values < SMALL_INTS)
+    cells = SMALL_INT_CELLS[np.where(small, values, 0.0).astype(np.intp)]
+    for at, form in ((~integral, repr), (integral & ~small, lambda v: str(int(v)))):
+        if at.any():
+            cells[at] = np.array(list(map(form, values[at].tolist())), dtype=object)
+    return cells
+
+
+def _day_strings(last: int) -> np.ndarray:
+    """The cells of days 1..last, as strings: day d is entry d - 1."""
+    return np.array([str(d) for d in range(1, last + 1)], dtype=object)
 
 
 def save_cohort(cohort: Cohort, data_path, schema_path) -> None:
+    """Write the cohort CSV, ``WRITE_BLOCK`` patients a block: each block is
+    a table of strings whose days and labels come from string tables and
+    whose feature cells come from ``_format_cells``."""
     save_schema(cohort.schema, schema_path)
+    days = _day_strings(cohort.T)
+    labels = np.array(["0", "1"], dtype=object)
 
-    def rows():
-        yield ["patient_id", "t", "label"] + cohort.schema.names
+    def blocks():
         for start in range(0, len(cohort.ids), WRITE_BLOCK):
             part = slice(start, start + WRITE_BLOCK)
             i, t = np.nonzero(np.arange(cohort.T) < cohort.stay[part, None])  # in-stay days
             X = cohort.X[part].transpose(0, 2, 1)[i, t]
             seen = cohort.M[part].transpose(0, 2, 1)[i, t]
-            table = np.full((len(i), 3 + cohort.F), "", dtype=object)
-            table[:, 0] = cohort.ids[part][i]
-            table[:, 1] = t + 1
-            table[:, 2] = cohort.y[part][i, t].astype(np.int64)
-            table[:, 3:][seen] = _format_cells(X[seen])
-            yield from table.tolist()
+            cells = np.full(X.shape, "", dtype=object)
+            cells[seen] = _format_cells(X[seen])
+            yield [cohort.ids[part][i], days[t],
+                   labels[cohort.y[part][i, t].astype(np.intp)], *cells.T]
 
-    write_long_csv(data_path, rows())
+    write_long_csv(data_path, [["patient_id", "t", "label"] + cohort.schema.names], blocks())
 
 
 def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
@@ -572,28 +654,33 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
     SchemaError, and any other row a DataError. ``M`` flags the nonempty
     cells and ``X`` holds their values, 0 elsewhere: X⊙M as it is.
 
-    A first pass counts the patients, so X, M and y are allocated once.
-    Then each block of rows is turned into numbers and written into them
-    before the next is read, so the loader holds the blocks and one block
-    of rows. Only a patient's first id cell is kept as a string. The first
-    failure of each check is recorded, and after the last block the first
-    check that failed is raised: an empty id, a patient in two blocks, the
-    day sequence, a day past T, the label, then per feature an unparsable
-    cell before a non-finite or non-binary one."""
+    Two passes read the file. The first is a bare ``csv`` pass over the
+    first cells that counts the patients (runs of rows with one id) and
+    stops at the first block of rows with a row of another width or bytes
+    that are not CSV text, so X, M and y are allocated once and a malformed
+    file allocates nothing past its valid prefix. The second takes the
+    rows from ``read_long_csv`` a block at a time, and checks and writes
+    each block into the blocks with array operations before it reads the
+    next: the day cells against a table of day strings, and each observed
+    feature cell parsed once. So the loader holds the
+    blocks and one block of rows, and only a patient's first id cell is
+    kept as a string. The first failure of each check is recorded, and
+    after the last block the first check that failed is raised: an empty
+    id, a patient in two blocks, the day sequence, a day past T, the label,
+    then per feature an unparsable cell before a non-finite or non-binary
+    one."""
     schema = load_schema(schema_path)
     header = ["patient_id", "t", "label"] + schema.names
     failed: dict[tuple, str] = {}  # check -> message of its first failure
-    # count the patients (runs of rows with one id) first, so the blocks are
-    # allocated once: blocks grown while reading are moved by realloc, and
-    # that kept a long-running process's peak RSS where two copies of the
-    # values had put it
-    count, prev = 0, None
-    for _, (ids, *_) in read_long_csv(data_path, header):
-        count += sum(a != b for a, b in zip((prev,) + ids[:-1], ids))
-        prev = ids[-1]
+    # the patients are counted first, so the blocks are allocated once: blocks
+    # grown while reading are moved by realloc, and that kept a long-running
+    # process's peak RSS where two copies of the values had put it
+    count = _count_patients(data_path, header)
     X = np.zeros((count, schema.F, T))
     M = np.zeros(X.shape, dtype=bool)
     y = np.zeros((count, T))
+    due_days = _day_strings(T)
+    binary = np.array([feature.kind == "binary" for feature in schema.features])
 
     def record(check, bad, message) -> None:
         if check not in failed and bad.any():
@@ -617,30 +704,38 @@ def load_cohort(data_path, schema_path, T: int = DEFAULT_T) -> Cohort:
         first_ids.append(ids[new])
         n_rows, n_patients, last_id, last_start = rows[-1] + 1, patient[-1] + 1, ids[-1], start[-1]
 
+        late = day > T  # a day past T is not written: its check fails
+        due = due_days[np.minimum(day, T) - 1]
+        if late.any():
+            due[late] = [str(d) for d in day[late].tolist()]
         record((1,), ids == "", lambda r: f"cohort line {lines[r]}: empty patient_id")
-        record((3,), days != day.astype(str),
+        record((3,), days != due,
                lambda r: f"patient {ids[r]}: time step {days[r]!r} where day {day[r]} is due")
-        record((4,), day > T, lambda r: f"time step {day[r]} outside 1..{T} for patient {ids[r]}")
+        record((4,), late, lambda r: f"time step {day[r]} outside 1..{T} for patient {ids[r]}")
         record((5,), (labels != "0") & (labels != "1"),
                lambda r: f"patient {ids[r]}: label must be 0 or 1, got {labels[r]!r}")
 
         cells = np.array(columns[3:], dtype=object)
         seen = cells != ""
         values = np.zeros(cells.shape)
-        for f, feature in enumerate(schema.features):
-            try:
-                parsed = cells[f, seen[f]].astype(np.float64)
-            except ValueError as exc:
-                failed.setdefault((6, f, 0), f"bad value in {feature.name}: {exc}")
-                continue
-            at = np.flatnonzero(seen[f])
-            record((6, f, 1),
-                   ~np.isfinite(parsed) | (feature.kind == "binary") & ~np.isin(parsed, (0.0, 1.0)),
-                   lambda i: f"patient {ids[at[i]]} day {day[at[i]]}: "
-                             f"{'non-binary' if np.isfinite(parsed[i]) else 'non-finite'} "
-                             f"value {cells[f, at[i]]!r} in {feature.name}")
-            values[f, at] = parsed
-        keep = day <= T  # a day past T is not written: its check already failed
+        unparsed = np.zeros(len(cells), dtype=bool)  # features with a cell float() refuses
+        try:
+            values[seen] = cells[seen].astype(np.float64)
+        except ValueError:
+            for f, feature in enumerate(schema.features):
+                try:
+                    values[f, seen[f]] = cells[f, seen[f]].astype(np.float64)
+                except ValueError as exc:
+                    failed.setdefault((6, f, 0), f"bad value in {feature.name}: {exc}")
+                    unparsed[f] = True
+        bad = ~np.isfinite(values) | binary[:, None] & (values != 0.0) & (values != 1.0)
+        bad[unparsed] = False
+        for f in np.flatnonzero(bad.any(axis=1)).tolist():
+            record((6, f, 1), bad[f],
+                   lambda r: f"patient {ids[r]} day {day[r]}: "
+                             f"{'non-binary' if np.isfinite(values[f, r]) else 'non-finite'} "
+                             f"value {cells[f, r]!r} in {schema.features[f].name}")
+        keep = ~late
         X[patient[keep], :, day[keep] - 1] = values.T[keep]
         M[patient[keep], :, day[keep] - 1] = seen.T[keep]
         y[patient[keep], day[keep] - 1] = labels[keep] == "1"

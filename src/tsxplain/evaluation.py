@@ -87,7 +87,10 @@ def evaluate(
 ) -> StepTable:
     """Per-step metric table over the patients of ``test`` at ``rows``
     (indices, every patient by default) valid at each step. Each block of
-    rows has the bits of one forward over them all."""
+    rows has the bits of one forward over them all. Over every patient a
+    block is a slice of the cohort's ``X``, a view; given ``rows`` it is
+    gathered by index."""
+    every = rows is None
     rows = test.row_indices(rows)
     if not rows.size:
         raise DataError("test cohort is empty")
@@ -95,8 +98,10 @@ def evaluate(
         threshold = model.threshold
     yhat = np.empty((len(rows), test.T))
     for start, stop in row_blocks(len(rows)):
-        # X holds X⊙M, the model's input
-        yhat[start:stop] = forward_prepared(test.X[rows[start:stop]], model.gru, model.attention)
+        # X holds X⊙M, the model's input; a gathered block is not named, so
+        # it is freed when its forward returns
+        yhat[start:stop] = forward_prepared(
+            test.X[start:stop] if every else test.X[rows[start:stop]], model.gru, model.attention)
     y, valid = test.labels(rows)
     table: StepTable = {m: [] for m in METRICS}
     for t in range(test.T):
@@ -161,16 +166,21 @@ def delta_report(
     return DeltaReport(mean_delta=mean_delta, std_delta=std_delta, defined=defined)
 
 
+def _where_defined(values: np.ndarray, defined: np.ndarray) -> list:
+    """The cells of a per-step column: each value where its step is
+    defined, and ``None`` (an empty cell) where it is not."""
+    return [v if d else None for v, d in zip(values.tolist(), defined.tolist())]
+
+
 def save_metric_series(series: dict[str, MetricSeries], path) -> None:
     """Write `metric,t,mean,std,n_defined` rows; mean and std stay empty at
     undefined steps."""
-    rows = [["metric", "t", "mean", "std", "n_defined"]]
-    for m in METRICS:
+    def block(m: str) -> list:
         s = series[m]
-        for t in range(s.mean.shape[0]):
-            mean, std = (s.mean[t], s.std[t]) if s.defined[t] else (None, None)
-            rows.append([m, t + 1, mean, std, int(s.n_defined[t])])
-    write_long_csv(path, rows)
+        return [[m] * len(s.mean), np.arange(1, len(s.mean) + 1), _where_defined(s.mean, s.defined),
+                _where_defined(s.std, s.defined), s.n_defined.astype(np.int64)]
+
+    write_long_csv(path, [["metric", "t", "mean", "std", "n_defined"]], map(block, METRICS))
 
 
 def load_metric_series(path) -> dict[str, MetricSeries]:
@@ -211,14 +221,12 @@ def load_metric_series(path) -> dict[str, MetricSeries]:
 def save_delta_report(report: DeltaReport, path) -> None:
     """Write `metric,t,mean_delta,std_delta` rows with the sign convention in
     a header comment row."""
-    rows = [
-        [f"# sign convention: {report.sign_convention}"],
-        ["metric", "t", "mean_delta", "std_delta"],
-    ]
-    for m in METRICS:
-        for t, defined in enumerate(report.defined[m]):
-            if defined:
-                rows.append([m, t + 1, report.mean_delta[m][t], report.std_delta[m][t]])
-            else:
-                rows.append([m, t + 1, None, None])
-    write_long_csv(path, rows)
+    def block(m: str) -> list:
+        defined = report.defined[m]
+        return [[m] * len(defined), np.arange(1, len(defined) + 1),
+                _where_defined(report.mean_delta[m], defined),
+                _where_defined(report.std_delta[m], defined)]
+
+    head = [[f"# sign convention: {report.sign_convention}"],
+            ["metric", "t", "mean_delta", "std_delta"]]
+    write_long_csv(path, head, map(block, METRICS))

@@ -59,12 +59,14 @@ class StepExplanation:
     output: float  # model output with every player active
 
 
-def background_matrix(train: Cohort) -> np.ndarray:
-    """Per-cell mean of observed values over the training cohort; cells never
-    observed fall back to the feature's all-step mean, then 0."""
-    if not train.ids.size:
+def background_matrix(train: Cohort, rows=None) -> np.ndarray:
+    """Per-cell mean of observed values over the training patients, those
+    of ``train`` at ``rows`` (sorted indices, every patient by default);
+    cells never observed fall back to the feature's all-step mean, then 0.
+    Given ``rows``, they are gathered only while the sums are taken."""
+    X, M = (train.X, train.M) if rows is None else (train.X[rows], train.M[rows])  # X holds X⊙M
+    if not len(X):
         raise DataError("training cohort is empty")
-    X, M = train.X, train.M  # X holds X⊙M
     num = X.sum(axis=0)
     den = M.sum(axis=0)
     B = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -319,17 +321,19 @@ def save_attributions(
     cell of each patient's row of W (n, F, T), with its step's base (n, T)."""
     n, F, T = W.shape
     header = ["patient_id", "feature", "t", "attribution", "base_t", "mode"]
-    write_long_csv(path, [header] + [
-        [ids[i], feature_names[f], t + 1, W[i, f, t], base[i, t], method]
-        for i in range(n) for f in range(F) for t in range(T)
-    ])
+    write_long_csv(path, [header], [[
+        np.repeat(np.asarray(ids, dtype=object), F * T),
+        np.tile(np.repeat(np.array(feature_names, dtype=object), T), n),
+        np.tile(np.arange(1, T + 1), n * F), W.ravel(),
+        np.broadcast_to(base[:, None, :], W.shape).ravel(), np.full(W.size, method, dtype=object),
+    ]])
 
 
 def save_aggregate(W: np.ndarray, counts: np.ndarray, scope: str, feature_names, path) -> None:
     """Write `feature,t,attribution,n_valid,scope` rows."""
     F, T = W.shape
     header = ["feature", "t", "attribution", "n_valid", "scope"]
-    write_long_csv(path, [header] + [
-        [feature_names[f], t + 1, W[f, t], int(counts[f, t]), scope]
-        for f in range(F) for t in range(T)
-    ])
+    write_long_csv(path, [header], [[
+        np.repeat(np.array(feature_names, dtype=object), T), np.tile(np.arange(1, T + 1), F),
+        W.ravel(), counts.ravel().astype(np.int64), np.full(W.size, scope, dtype=object),
+    ]])

@@ -5,13 +5,15 @@ pre-activation and weight gradient as the einsums the kernel replaced, coalition
 perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time, each game's rows forwarded in one whole batch and a full game played
 for every explained step, CMI screening that gathers each (feature, step)
-cell's samples patient by patient and codes joint alphabets with
+cell's samples patient by patient, bins each cell with its own
+``np.quantile`` call and codes joint alphabets with
 ``np.unique(axis=0)``, CMI screening that makes one entropy call per term
 of each (cell, round) score, and central-difference gradients, average ranks
 found by walking tied runs, a cohort CSV reader that groups rows by patient
 and parses one cell at a time, a cohort CSV reader that holds the whole
 file as strings, one list per column, before it parses any, a cohort CSV
-writer that formats one patient record's cells one at a time, a synthetic
+writer that formats one patient record's cells one at a time, a long-CSV
+writer that formats one row, and one cell, at a time, a synthetic
 cohort generator that builds one patient record at a time, X⊙M as the
 product of float64 value and mask blocks, k-fold splits that copy each
 fold's patients into cohorts, a training loop that runs each grid point ×
@@ -24,6 +26,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -467,6 +470,15 @@ def cmi_unique_rows(a, b, z) -> float:
     )
 
 
+def discretize_by_quantile(values, n_bins: int, binning: str) -> np.ndarray:
+    """``discretize`` with one ``np.quantile`` call for a cell's
+    equal-frequency edges."""
+    if binning != "equal_frequency" or not len(values):
+        return discretize(values, n_bins, binning)
+    edges = np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1)[1:-1]))
+    return np.searchsorted(edges, values, side="right").astype(np.int64)
+
+
 def cmi_scores_by_cell(c, cfg) -> tuple[np.ndarray, np.ndarray]:
     """(S, valid_counts) of CMI screening with each cell's samples gathered
     one patient at a time, greedy conditioning sets intersected as index
@@ -490,7 +502,7 @@ def cmi_scores_by_cell(c, cfg) -> tuple[np.ndarray, np.ndarray]:
             if len(vals) < MIN_VALID_SAMPLES:
                 continue
             if c.schema.features[f].kind == "numeric":
-                vals = discretize(vals, cfg.n_bins, cfg.binning)
+                vals = discretize_by_quantile(vals, cfg.n_bins, cfg.binning)
             cell[f] = (vals, labels, np.asarray(who, dtype=np.int64))
 
         if cfg.conditioning == "none":
@@ -542,7 +554,8 @@ def cmi_scores_by_call(c, cfg, scope: str = "all") -> tuple[np.ndarray, np.ndarr
         codes = np.zeros(X.shape, dtype=np.int64)
         for f in scored:
             if c.schema.features[f].kind == "numeric":
-                codes[seen[:, f], f] = discretize(X[seen[:, f], f], cfg.n_bins, cfg.binning)
+                codes[seen[:, f], f] = discretize_by_quantile(X[seen[:, f], f], cfg.n_bins,
+                                                              cfg.binning)
             else:
                 codes[seen[:, f], f] = _ranks(X[seen[:, f], f])[0]
 
@@ -566,6 +579,31 @@ def cmi_scores_by_call(c, cfg, scope: str = "all") -> tuple[np.ndarray, np.ndarr
             S[scored[best], t] = scores[best]
             selected.append(scored.pop(best))
     return S, counts
+
+
+def write_long_csv_by_row(path, rows) -> None:
+    """Long-CSV writer that formats each cell of each row on its own: a
+    float (a numpy one too) as the ``repr`` of a finite Python float,
+    ``None`` as an empty cell, anything else unchanged. A non-finite float is
+    a FloatingPointError, and on any error the file is removed."""
+    with open(path, "w", newline="") as fh:
+        try:
+            writer = csv.writer(fh)
+            for row in rows:
+                cells = []
+                for v in row:
+                    if isinstance(v, float):
+                        v = float(v)
+                        if not math.isfinite(v):
+                            raise FloatingPointError(
+                                f"{path}: non-finite value {v!r}; nothing written")
+                        v = repr(v)
+                    cells.append("" if v is None else v)
+                writer.writerow(cells)
+        except BaseException:
+            fh.close()
+            Path(path).unlink()
+            raise
 
 
 def save_cohort_by_patient(cohort: Cohort, data_path, schema_path) -> None:

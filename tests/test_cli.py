@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -463,7 +464,8 @@ class TestExplain:
         for row in rows[1:]:
             for i in env:
                 row[i] = row[i] and "1.7e308"
-        data_mod.write_long_csv(out / "cohort.csv", rows)
+        with open(out / "cohort.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
         src = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-m", "tsxplain.cli", "explain", "--config", str(cfg_path),
@@ -485,6 +487,35 @@ class TestExplain:
         capsys.readouterr()
         assert run(["explain", "--config", str(cfg_path), "--method", "cmi"]) == 3
         assert "duplicate schema key 'kind'" in capsys.readouterr().err
+
+    def test_itshap_holds_no_split_copy(self, tmp_path, monkeypatch):
+        """IT-SHAP splits the loaded cohort by row indices: while its games
+        are played, a 1,000-patient command holds the cohort and the few
+        explained patients, not a train or a test copy (which together
+        would hold as much again)."""
+        cfg_path, _ = write_config(tmp_path, {
+            "synth": {"n_patients": 1000}, "seeds": [0],
+            "itshap": {"max_patients": 2, "n_samples": 256}})
+        assert run(["synth", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
+        gru, _ = model.init_params(cohort.F, 4, RngStream(0), use_attention=False)
+        model.save_model(model.TrainedModel(
+            gru=gru, attention=None, schema_fingerprint=model.schema_fingerprint(cohort.schema)),
+            out / "ckpt_gru_seed0.txt")
+        held, explain = [], itshap_mod.explain_patient
+        monkeypatch.setattr(itshap_mod, "explain_patient", lambda *a, **k: held.append(
+            tracemalloc.get_traced_memory()[0]) or explain(*a, **k))
+        blocks = sum(b.nbytes for b in (cohort.X, cohort.M, cohort.y, cohort.stay))
+        del cohort
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(["explain", "--config", str(cfg_path), "--method", "itshap"]) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2
+        assert max(held) - base < 1.5 * blocks, (max(held) - base, blocks)
 
     def test_explain_without_checkpoint_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)

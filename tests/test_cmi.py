@@ -139,7 +139,56 @@ class TestCmi:
             assert conditional_mutual_information(a, b, z) > -1e-12
 
 
+# values that tie, sit on a bin edge or sum past float64's range
+BIN_VALUES = st.one_of(
+    st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0, np.nextafter(2.0, 3.0), 3.0, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def binned_rows(draw):
+    """(k, m) values and observed flags, each row observing 1 to m cells:
+    short rows, all-equal rows and rows of a few distinct values."""
+    k, m = draw(st.integers(1, 4)), draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
+    values, seen = np.zeros((k, m)), np.zeros((k, m), dtype=bool)
+    for f in range(k):
+        seen[f] = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        seen[f, draw(st.integers(0, m - 1))] = True
+        pool = draw(st.lists(BIN_VALUES, min_size=1, max_size=draw(st.sampled_from([1, 2, 3, m]))))
+        values[f] = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return values, seen
+
+
+def float_bits(x) -> np.ndarray:
+    """The bits of each value, one zero for both signed zeros."""
+    return (np.asarray(x, dtype=np.float64) + 0.0).view(np.uint64)
+
+
 class TestDiscretize:
+    @given(binned_rows(), st.integers(2, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_batched_edges_match_np_quantile(self, rows, n_bins):
+        """Each row's values, padded and sorted with the others, get the
+        edges of one ``np.quantile`` call on them, bit for bit (the zero's
+        sign aside, which sort and partition may order either way), and
+        each value the code ``searchsorted`` gives over the unique edges,
+        repeated edges included."""
+        values, seen = rows
+        q = np.linspace(0, 1, n_bins + 1)[1:-1]
+        ordered = np.sort(np.where(seen, values, np.inf), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = cmi_mod._quantile_edges(ordered, seen.sum(axis=1), n_bins)
+            codes = cmi_mod._frequency_codes(values, seen, n_bins)
+            for f in range(len(values)):
+                want = np.quantile(values[f, seen[f]], q)
+                assert np.array_equal(float_bits(edges[f]), float_bits(want)), f
+                want_codes = np.searchsorted(np.unique(want), values[f, seen[f]], side="right")
+                assert np.array_equal(codes[f, seen[f]], want_codes), f
+                assert not codes[f, ~seen[f]].any()
+                assert np.array_equal(discretize(values[f, seen[f]], n_bins, "equal_frequency"),
+                                      want_codes)
+
     def test_equal_frequency_balanced(self):
         gen = RngStream(12).generator()
         vals = gen.normal(size=8000)

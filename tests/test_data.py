@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -46,6 +46,7 @@ from oracles import (
     save_cohort_by_patient,
     synth_cohort_by_patient,
     synth_records_by_patient,
+    write_long_csv_by_row,
 )
 
 
@@ -692,13 +693,49 @@ class TestCohortIo:
 
     def test_empty_id_names_its_file_line(self, tmp_path):
         """An id quoted over two lines moves every later row down a line, so
-        the empty id of the third row is on file line 6."""
+        the empty id after two such rows is on the fifth line after the
+        rows before them. Read a block of 1, 2, 3 or READ_BLOCK rows at a
+        time, with READ_BLOCK one-line rows first, the quoted rows are in a
+        later block than the first, so their block spans more lines than
+        rows and its lines are found by counting the breaks in its cells."""
         save_schema(small_schema(1), tmp_path / "s.txt")
+        before = "".join(f"q{i},1,0,1\n" for i in range(READ_BLOCK))
         (tmp_path / "d.csv").write_text(
-            'patient_id,t,label,f0\n"a\nb",1,0,1\n"a\nb",2,0,\n,1,0,2\n')
-        for load in (load_cohort, load_cohort_by_column):
-            with pytest.raises(DataError, match="^cohort line 6: empty patient_id$"):
-                load(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+            'patient_id,t,label,f0\n' + before + '"a\nb",1,0,1\n"a\r\nb",2,0,\n,1,0,2\n')
+        line = f"^cohort line {READ_BLOCK + 6}: empty patient_id$"
+        with pytest.raises(DataError, match=line):
+            load_cohort_by_column(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+        with pytest.MonkeyPatch.context() as mp:
+            for block in (1, 2, 3, READ_BLOCK):
+                mp.setattr(data_mod, "READ_BLOCK", block)
+                with pytest.raises(DataError, match=line):
+                    load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+
+    def test_width_error_allocates_only_the_valid_prefix(self, tmp_path):
+        """A row of another width on line 3, before 100,000 rows of distinct
+        ids, is refused on its line; the counting pass stops at it, so the
+        loader allocates no blocks for the later patients and its traced
+        peak stays under what holding one read block of rows takes."""
+        schema = small_schema(3)
+        save_schema(schema, tmp_path / "s.txt")
+        rows = "".join(f"q{i},1,0,1,,2.5\n" for i in range(100_000))
+        (tmp_path / "d.csv").write_text(
+            "patient_id,t,label,f0,f1,f2\np,1,0,1,,2.5\np,2,0\n" + rows)
+        (tmp_path / "ok.csv").write_text("patient_id,t,label,f0,f1,f2\n" + rows)
+        header = ["patient_id", "t", "label"] + schema.names
+        tracemalloc.start()
+        try:
+            first = next(read_long_csv(tmp_path / "ok.csv", header))
+            one_block = tracemalloc.get_traced_memory()[1]
+            del first
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(DataError, match="line 3: 3 cells, expected 6"):
+                load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < one_block, (peak, one_block)
 
     def test_loader_memory_is_blocks_plus_one_read_block(self, tmp_path):
         """The loader counts the patients, allocates the blocks it returns
@@ -736,9 +773,44 @@ class TestCohortIo:
             load_cohort(tmp_path / "d.csv", tmp_path / "s.txt", T=6)
 
 
+class FloatColumn(list):
+    """The cells of a column that the block writer gets as a float array."""
+
+
+# ids that csv must quote, and the floats at the ends of float64's range
+TEXT_CELLS = st.one_of(st.sampled_from(["a,b", 'say "hi"', "a\r\nb", "a\nb", "a\rb", "", " x "]),
+                       st.text(max_size=6))
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+ANY_FLOAT = st.one_of(EDGE_FLOATS, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
+
+@st.composite
+def long_csv_tables(draw):
+    """Head rows of text, then blocks of equally long columns: text, ints,
+    None, Python or numpy floats in lists, and float columns (a non-finite
+    value now and then)."""
+    head = draw(st.lists(st.lists(TEXT_CELLS, min_size=1, max_size=3), max_size=2))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n, width = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+        block = []
+        for _ in range(width):
+            kind = draw(st.sampled_from(["text", "mixed", "float"]))
+            if kind == "float":
+                block.append(FloatColumn(draw(st.lists(ANY_FLOAT, min_size=n, max_size=n))))
+                continue
+            cells = st.one_of(TEXT_CELLS, st.integers(-10**20, 10**20), st.none(), EDGE_FLOATS,
+                              EDGE_FLOATS.map(np.float64), ANY_FLOAT) if kind == "mixed" else TEXT_CELLS
+            block.append(draw(st.lists(cells, min_size=n, max_size=n)))
+        blocks.append(block)
+    return head, blocks
+
+
 class TestLongCsv:
     def test_read_returns_columns(self, tmp_path):
-        write_long_csv(tmp_path / "m.csv", [["a", "b"], ["x", 1], ["", 2.5]])
+        write_long_csv(tmp_path / "m.csv", [["a", "b"]], [[["x", ""], [1, 2.5]]])
         assert list(read_long_csv(tmp_path / "m.csv", ["a", "b"])) == [
             ([2, 3], [("x", ""), ("1", "2.5")])]
 
@@ -748,14 +820,14 @@ class TestLongCsv:
         ([["a", "b"], ["x", 1], ["y"]], DataError, "line 3: 1 cells, expected 2"),
     ])
     def test_read_rejects_off_layout(self, tmp_path, rows, error, message):
-        write_long_csv(tmp_path / "m.csv", rows)
+        write_long_csv_by_row(tmp_path / "m.csv", rows)
         with pytest.raises(error, match=message):
             list(read_long_csv(tmp_path / "m.csv", ["a", "b"]))
 
     def test_floats_round_trip_bit_exact(self, tmp_path):
         values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         values += list(RngStream(11).generator().normal(scale=1e3, size=50))
-        write_long_csv(tmp_path / "f.csv", [["v"]] + [[v] for v in values])
+        write_long_csv(tmp_path / "f.csv", [["v"]], [[np.array(values)]])
         with open(tmp_path / "f.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         back = np.array([float(r[0]) for r in rows[1:]])
@@ -767,27 +839,50 @@ class TestLongCsv:
         """The one writer of float artefacts is the backstop against a silent
         NaN: it raises and leaves no partial file, also in place of an old one."""
         path = tmp_path / "m.csv"
-        path.write_text("old\n")
-        rows = [["name", "value"], ["a", 0.5], ["b", value], ["c", 0.25]]
-        with pytest.raises(FloatingPointError, match="non-finite value"):
-            write_long_csv(path, rows)
-        assert not path.exists()
+        for values in ([0.5, value, 0.25], np.array([0.5, value, 0.25])):  # a list, a float array
+            path.write_text("old\n")
+            with pytest.raises(FloatingPointError, match="non-finite value"):
+                write_long_csv(path, [["name", "value"]], [[["a", "b", "c"], values]])
+            assert not path.exists()
 
     def test_error_in_rows_removes_file(self, tmp_path):
-        def rows():
-            yield ["name", "value"]
+        def blocks():
+            yield [["a"], [0.5]]
             raise ValueError("cannot format")
 
         with pytest.raises(ValueError):
-            write_long_csv(tmp_path / "m.csv", rows())
+            write_long_csv(tmp_path / "m.csv", [["name", "value"]], blocks())
         assert not (tmp_path / "m.csv").exists()
 
     def test_none_ints_and_strings(self, tmp_path):
-        write_long_csv(tmp_path / "m.csv", [["# note"], ["name", "t", "value"],
-                                            ["a,b", 3, None], ["x", -7, 2.5]])
+        write_long_csv(tmp_path / "m.csv", [["# note"], ["name", "t", "value"]],
+                       [[["a,b", "x"], np.array([3, -7]), [None, 2.5]]])
         assert (tmp_path / "m.csv").read_bytes() == (
             b'# note\r\nname,t,value\r\n"a,b",3,\r\nx,-7,2.5\r\n'
         )
+
+    @given(long_csv_tables())
+    @example(([], [[FloatColumn([0.5, float("nan")]), [float("inf"), 0.5]]]))  # row order
+    @settings(max_examples=150, deadline=None)
+    def test_block_writer_matches_row_oracle(self, table):
+        """Head rows and blocks of columns, each float column as a float
+        array or in a list, give the bytes of the row-at-a-time writer, or
+        its refusal of the first non-finite float with no file left."""
+        head, blocks = table
+        rows = head + [list(row) for block in blocks for row in zip(*block)]
+        cast = [[np.array(c) if isinstance(c, FloatColumn) else c for c in block]
+                for block in blocks]
+        with tempfile.TemporaryDirectory() as tmp:
+            outcomes = []
+            for write, args in ((write_long_csv_by_row, (rows,)), (write_long_csv, (head, cast))):
+                path = Path(tmp) / "m.csv"
+                try:
+                    write(path, *args)
+                    outcomes.append(path.read_bytes())
+                except FloatingPointError as exc:
+                    assert not path.exists()
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
 
 
 def assert_masked_blocks(c: Cohort, records) -> None:

@@ -233,6 +233,47 @@ class TestBlockEvaluation:
         assert len(blocks) == -(-n // ROW_BLOCK)
         assert table == want_table
 
+    @pytest.mark.parametrize("use_attention", [False, True])
+    @pytest.mark.parametrize("n", [1, 513, 1025, 2049])
+    def test_whole_cohort_matches_whole_batch_oracle(self, cohort, n, use_attention,
+                                                     monkeypatch):
+        """Without ``rows`` each block is a slice of the cohort's X, a view,
+        with the bits of the same whole-batch forward."""
+        gru, att = init_params(cohort.F, 8, RngStream(9), use_attention)
+        model = TrainedModel(gru=gru, attention=att, threshold=0.2,
+                             schema_fingerprint=schema_fingerprint(cohort.schema))
+        part = cohort.subset(np.sort(RngStream(n).generator().choice(len(cohort.ids), n,
+                                                                     replace=False)))
+        blocks, forward = [], eval_mod.forward_prepared
+        monkeypatch.setattr(eval_mod, "forward_prepared",
+                            lambda X, *args: blocks.append((X.base is part.X, forward(X, *args)))
+                            or blocks[-1][1])
+        table = evaluate(model, part)
+        want_table, want_scores = evaluate_whole_batch(model, part)
+        assert all(view for view, _ in blocks)
+        assert np.concatenate([s for _, s in blocks]).tobytes() == want_scores.tobytes()
+        assert table == want_table
+
+    def test_whole_cohort_gathers_no_block(self, cohort):
+        """Over every patient of a 2,000-patient cohort a GRU evaluation
+        forwards views: its traced peak is below that of the same
+        evaluation given every row as indices, which gathers each block, by
+        most of one gathered block."""
+        gru, _ = init_params(cohort.F, 8, RngStream(9), use_attention=False)
+        model = TrainedModel(gru=gru, attention=None, threshold=0.2,
+                             schema_fingerprint=schema_fingerprint(cohort.schema))
+        part = cohort.subset(np.arange(2000))
+        peaks = []
+        for rows in (None, np.arange(2000)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate(model, part, rows=rows)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] + 0.8 * part.X[:ROW_BLOCK].nbytes < peaks[1], peaks
+
 
 def table(values):
     """StepTable with the same per-step values for all metrics."""
