@@ -288,15 +288,13 @@ def cmd_explain(s: Settings, args) -> int:
         # a patient's largest game has the observed cells as its players
         explained.scope_indices(scope)
         itshap_mod.check_budget(int(explained.M.sum(axis=(1, 2)).max()), s.itshap)
-        W, base = np.zeros(explained.X.shape), np.zeros(explained.y.shape)
         # numpy's overflow warnings stay silent: the check below is the one report
         with np.errstate(over="ignore", invalid="ignore"):
             B = itshap_mod.background_matrix(cohort, train_rows)
-            for i, stay in enumerate(explained.stay.tolist()):
-                W[i], base[i] = itshap_mod.explain_patient(
-                    trained, explained.X[i], explained.M[i], B, s.itshap, stay,
-                    all_steps=(s.steps == "all"),
-                )
+            W, base = itshap_mod.explain_patients(
+                trained, explained.X, explained.M, B, s.itshap, explained.stay,
+                all_steps=(s.steps == "all"),
+            )
 
     # an overflow in the model turns into NaN attributions, not into an error
     if not (np.isfinite(W).all() and (method != "itshap" or np.isfinite(base).all())):

@@ -4,31 +4,43 @@ Each per-step output is treated as a coalition game whose players are the
 individual observed (feature, step) cells ("cell" mode, which yields full
 F x T attribution heatmaps). ``explain_step`` also plays, for library use,
 the game whose players are whole time columns ("timestep" mode, the literal
-column-selection perturbation); ``explain_patient``, which the CLI calls,
-plays cell-mode games only. Deactivated players are replaced by a
+column-selection perturbation); ``explain_patient``, which the CLI calls
+once per patient through ``explain_patients``, plays cell-mode games only. Deactivated players are replaced by a
 background matrix of training-cohort feature means. Small games are
 enumerated exactly; larger games use paired-complement coalition sampling
 with Shapley kernel weights and a ridge-stabilized weighted linear fit,
 which plays no pair whose weight is below float64 resolution. The two
 degenerate coalitions (empty/full) enter as exactness constraints, so the
 base value equals the background output and the attributions sum to the
-explained output exactly. A game assembles and forwards its coalition rows
-in the row blocks of ``model.row_blocks``, with the bits of one forward over
-them all, so the model's inputs and activations take memory bounded by the
-block; the fit's (K, m) design still grows with the K rows.
+explained output exactly.
+
+A game's coalitions, kernel weights and fit design depend only on its key:
+the step t, the player count m and the config (its draws come from
+``RngStream(cfg.seed).child(t)``). A ``Game`` holds that half, built once on
+first use; ``explain_patients`` visits patients in key order and hands each
+key's one ``Game`` to all of its patients, so each pays only for its own
+coalition forwards, targets and solve. A game assembles and forwards its
+coalition rows in the row blocks of ``model.row_blocks``, with the bits of
+one forward over them all, so the model's inputs and activations take
+memory bounded by the block; the fit's (K, m) design still grows with the K
+rows. Every patient's empty and full coalition rows go through one stacked
+forward (``coalition_ends``), as one-row slices with the bits of one-row
+forwards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import Cohort, write_long_csv
 from .errors import ConfigError, DataError, NotTrainedError, check_values, integer, number, one_of
-from .model import TrainedModel, forward_prepared, row_blocks
-from .numerics import RngStream, weighted_least_squares
+from .model import ROW_BLOCK, TrainedModel, _forward_core, forward_prepared, row_blocks
+from .numerics import (NormalEquations, RngStream, normal_equations, solve_normal,
+                       weighted_least_squares)
 
 
 EXPLAINER_RULES = {
@@ -85,9 +97,9 @@ def timestep_players(t: int) -> tuple:
 
 
 def cell_players(M: np.ndarray, t: int) -> tuple:
-    return tuple(
-        (f, tau) for tau in range(t) for f in range(M.shape[0]) if M[f, tau] == 1.0
-    )
+    """The observed cells before step t as (f, tau) pairs, tau-major."""
+    tau, f = np.nonzero(np.asarray(M)[:, :t].T == 1.0)
+    return tuple(zip(f.tolist(), tau.tolist()))
 
 
 def shap_kernel_weight(players: int, coalition_size: int) -> float:
@@ -144,16 +156,26 @@ def _evaluate_coalitions(
     return _step_output(yhat, explain_logit)
 
 
+def _constrained_design(Z: np.ndarray) -> np.ndarray:
+    """The (K, m - 1) design of an m-player game's fit (m >= 2) with g(1)
+    eliminated by substituting the last attribution; it depends on Z alone."""
+    return np.subtract(Z[:, :-1], Z[:, -1:], dtype=np.float64)
+
+
+def _constrained_targets(Z: np.ndarray, v: np.ndarray, v0: float, total: float) -> np.ndarray:
+    # straight from the bool Z: numpy casts it to float64 a buffer at a time
+    return v - v0 - Z[:, -1] * total
+
+
 def _solve_constrained(
     Z: np.ndarray, v: np.ndarray, w: np.ndarray, v0: float, fx: float, ridge: float
 ) -> np.ndarray:
     """Weighted linear fit of an m-player game (m >= 2) with g(0)=v0 and
-    g(1)=fx eliminated by substituting the last attribution."""
+    g(1)=fx eliminated by substituting the last attribution, factored for
+    these rows alone; a ``Game`` factors its rows once for every patient."""
     total = fx - v0
-    # straight from the bool Z: numpy casts it to float64 a buffer at a time
-    targets = v - v0 - Z[:, -1] * total
-    design = np.subtract(Z[:, :-1], Z[:, -1:], dtype=np.float64)
-    coeffs = weighted_least_squares(design, targets, w, ridge=ridge)
+    targets = _constrained_targets(Z, v, v0, total)
+    coeffs = weighted_least_squares(_constrained_design(Z), targets, w, ridge=ridge)
     return np.append(coeffs, total - coeffs.sum())
 
 
@@ -170,7 +192,8 @@ def _coalitions(
     m: int, cfg: ExplainerConfig, seed_index: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Interior coalitions Z (K, m) of an m-player game (m >= 2), their
-    kernel weights w (K,) and the ridge to solve them with.
+    kernel weights w (K,) and the ridge to solve them with. They depend on
+    (m, cfg, seed_index) alone, and a ``Game`` draws them once for its key.
 
     Up to ``cfg.exact_threshold`` players every subset is listed, ordered by
     size and then as ``itertools.combinations`` lists them. Larger games take
@@ -209,6 +232,48 @@ def _coalitions(
     return Z, kernel[Z.sum(axis=1)], cfg.ridge
 
 
+class Game:
+    """The half of an m-player game at step t that depends only on its key
+    (t, m, cfg), not on the patient or the model: the interior coalitions
+    with their kernel weights, and the fit's normal equations. Each is built
+    on first use and once per object, so every patient that plays a key's
+    one ``Game`` shares its draw and its factorization."""
+
+    def __init__(self, t: int, m: int, cfg: ExplainerConfig):
+        self.key = (t, m, cfg)
+
+    @cached_property
+    def coalitions(self) -> tuple[np.ndarray, np.ndarray, float]:
+        t, m, cfg = self.key
+        return _coalitions(m, cfg, t)
+
+    @cached_property
+    def normal(self) -> NormalEquations:
+        Z, w, ridge = self.coalitions
+        return normal_equations(_constrained_design(Z), w, ridge)
+
+    def play(self, value_fn, ends=None) -> tuple[np.ndarray, float, float]:
+        """(attributions, empty-coalition value, full-coalition value) of the
+        game whose value function ``value_fn`` maps a boolean coalition
+        matrix (K, m) to outputs (K,). ``ends``, if given, holds the empty
+        and full values, and ``value_fn`` then plays the interior rows only."""
+        m = self.key[1]
+        if ends is None:
+            full = float(value_fn(np.ones((1, m), dtype=bool))[0])
+            empty = float(value_fn(np.zeros((1, m), dtype=bool))[0])
+        else:
+            empty, full = float(ends[0]), float(ends[1])
+        if m == 0:
+            return np.zeros(0), empty, full
+        if m == 1:
+            return np.array([full - empty]), empty, full
+        Z = self.coalitions[0]
+        v = np.asarray(value_fn(Z), dtype=np.float64)
+        total = full - empty
+        coeffs = solve_normal(self.normal, _constrained_targets(Z, v, empty, total))
+        return np.append(coeffs, total - coeffs.sum()), empty, full
+
+
 def shapley_values(
     value_fn, m: int, cfg: ExplainerConfig, seed_index: int = 0
 ) -> tuple[np.ndarray, float, float]:
@@ -217,18 +282,10 @@ def shapley_values(
     ``value_fn`` maps a boolean coalition matrix (K, m) to outputs (K,).
     Returns (attributions, empty-coalition value, full-coalition value).
     Games with at most ``cfg.exact_threshold`` players are enumerated and
-    solved exactly; larger games use paired-complement coalition sampling.
+    solved exactly; larger games use paired-complement coalition sampling,
+    drawn from stream ``seed_index``. It plays a ``Game`` of its own.
     """
-    full = float(value_fn(np.ones((1, m), dtype=bool))[0])
-    empty = float(value_fn(np.zeros((1, m), dtype=bool))[0])
-    if m == 0:
-        return np.zeros(0), empty, full
-    if m == 1:
-        return np.array([full - empty]), empty, full
-    Z, w, ridge = _coalitions(m, cfg, seed_index)
-    v = np.asarray(value_fn(Z), dtype=np.float64)
-    phi = _solve_constrained(Z, v, w, empty, full, ridge)
-    return phi, empty, full
+    return Game(seed_index, m, cfg).play(value_fn)
 
 
 def explain_step(
@@ -238,8 +295,14 @@ def explain_step(
     t: int,
     B: np.ndarray,
     cfg: ExplainerConfig,
+    game: Game | None = None,
+    ends=None,
 ) -> StepExplanation:
-    """Shapley attributions for the output at step t over all players up to t."""
+    """Shapley attributions for the output at step t over all players up to t.
+
+    ``game`` is the shared ``Game`` of the step's key, and ``ends`` the
+    explained outputs (empty, full) of its empty and full coalitions; by
+    default the step draws and factors a game of its own and forwards both."""
     if model is None or model.gru is None:
         raise NotTrainedError("explainer requires a trained model")
     X = np.asarray(X, dtype=np.float64)
@@ -247,14 +310,44 @@ def explain_step(
     players = (
         timestep_players(t) if cfg.mode == "timestep" else cell_players(M, t)
     )
+    if game is None:
+        game = Game(t, len(players), cfg)
+    elif game.key != (t, len(players), cfg):
+        raise ValueError(f"a game of key {game.key[:2]} cannot explain step {t} "
+                         f"with {len(players)} players")
 
     def value(Z):
         return _evaluate_coalitions(
             model, X, M, t, B, players, cfg.mode, Z, cfg.explain_logit
         )
 
-    phi, empty, full = shapley_values(value, len(players), cfg, seed_index=t)
+    phi, empty, full = game.play(value, ends)
     return StepExplanation(phi, empty, players, full)
+
+
+def coalition_ends(
+    model: TrainedModel, X: np.ndarray, M: np.ndarray, B: np.ndarray, stays, explain_logit: bool
+) -> np.ndarray:
+    """The explained outputs (n, 2, T) of the empty and the full coalition
+    rows of each patient's cell game at step ``stays[i]``: X (n, F, T) masked
+    by M, with every observed cell before that step set to B in the empty
+    row, and zeros from that step on. The rows are forwarded as one-row
+    slices on the kernel's leading axis, ``ROW_BLOCK`` slices at a time, so
+    each has the bits of its own one-row forward. The model is causal (per-
+    column attention, in-order GRU), so the empty row's output at each step
+    of the stay is that step's base value."""
+    n, F, T = X.shape
+    out = np.empty((n, 2, T))
+    per_block = ROW_BLOCK // 2
+    for start in range(0, n, per_block):
+        Xb, Mb = X[start:start + per_block], M[start:start + per_block]
+        in_stay = np.arange(T) < np.asarray(stays[start:start + per_block])[:, None, None]
+        rows = np.empty((len(Xb), 2, 1, F, T))
+        rows[:, 1, 0] = np.where(in_stay, Xb * Mb, 0.0)
+        rows[:, 0, 0] = np.where((Mb == 1.0) & in_stay, B, rows[:, 1, 0])
+        yhat = _forward_core(rows.reshape(-1, 1, F, T), model.gru, model.attention)
+        out[start:start + per_block] = yhat.reshape(-1, 2, T)
+    return _step_output(out, explain_logit)
 
 
 def explain_patient(
@@ -265,30 +358,61 @@ def explain_patient(
     cfg: ExplainerConfig,
     stay_length: int,
     all_steps: bool = False,
+    *,
+    game: Game | None = None,
+    ends: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell-mode IT-SHAP of one patient: the (F, T) attributions of the
     output at the stay's final step, the one game played, and the (T,) base
     values, at that step or, with ``all_steps``, at every step of the stay.
-    Steps beyond the stay keep zeros."""
+    Steps beyond the stay keep zeros. ``game`` is the shared ``Game`` of the
+    final step's key and ``ends`` the patient's (2, T) row of
+    ``coalition_ends``; by default the patient draws its own game and
+    forwards its own empty and full rows."""
     if cfg.mode != "cell":
         raise ConfigError(f"explain_patient plays cell-mode games, got mode {cfg.mode!r}")
     F, T = X.shape
     if not 1 <= stay_length <= T:
         raise DataError(f"stay_length {stay_length} out of 1..{T}")
+    if ends is None:
+        ends = coalition_ends(model, X[None], M[None], B, [stay_length], cfg.explain_logit)[0]
     W, base = np.zeros((F, T)), np.zeros(T)
-    res = explain_step(model, X, M, stay_length, B, cfg)
-    base[stay_length - 1] = res.base
-    for j, (f, tau) in enumerate(res.players):
-        W[f, tau] = res.weights[j]
-    if all_steps and stay_length > 1:
-        # The model is causal (per-column attention, in-order GRU): the
-        # empty coalition of step t, with every observed cell up to t set
-        # to B, has at t the value that one forward with every observed
-        # cell set to B has at t. Both are one-row forwards of the same
-        # shape, so the values agree bit for bit.
-        background = np.where(M == 1.0, B, X * M)
-        yhat = forward_prepared(background[None], model.gru, model.attention)[0]
-        base[: stay_length - 1] = _step_output(yhat, cfg.explain_logit)[: stay_length - 1]
+    res = explain_step(model, X, M, stay_length, B, cfg, game, ends[:, stay_length - 1])
+    cells = np.array(res.players, dtype=np.intp).reshape(-1, 2)
+    W[cells[:, 0], cells[:, 1]] = res.weights
+    steps = slice(0 if all_steps else stay_length - 1, stay_length)
+    base[steps] = ends[0, steps]
+    return W, base
+
+
+def explain_patients(
+    model: TrainedModel,
+    X: np.ndarray,
+    M: np.ndarray,
+    B: np.ndarray,
+    cfg: ExplainerConfig,
+    stays,
+    all_steps: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``explain_patient`` of every patient of the blocks X, M (n, F, T)
+    with stays (n,): the (n, F, T) attributions and (n, T) base values, row i
+    patient i's. Every patient's empty and full rows go through one
+    ``coalition_ends``. The patients are visited in (stay, player count)
+    order, so those whose final-step games share a key play one ``Game``,
+    and only one game is held at a time."""
+    stays = np.asarray(stays)
+    n, F, T = X.shape
+    in_stay = np.arange(T) < stays[:, None]
+    players = ((M == 1.0) & in_stay[:, None, :]).sum(axis=(1, 2))
+    ends = coalition_ends(model, X, M, B, stays, cfg.explain_logit)
+    W, base = np.zeros((n, F, T)), np.zeros((n, T))
+    game = None
+    for i in np.lexsort((players, stays)).tolist():
+        key = (int(stays[i]), int(players[i]), cfg)
+        if game is None or game.key != key:
+            game = Game(*key)  # built on first use, after the last one is freed
+        W[i], base[i] = explain_patient(model, X[i], M[i], B, cfg, key[0], all_steps,
+                                        game=game, ends=ends[i])
     return W, base
 
 

@@ -195,8 +195,10 @@ def _forward_core(
     any, index models trained side by side: every parameter array then has
     the same leading axes (``b_out`` one value per model), and each model's
     slice of the result has the bits that a call on its slice alone gives.
-    Returns yhat (..., n, T) and, if requested, the activation cache for
-    the backward pass.
+    With one set of parameters, leading axes over one-row inputs
+    (..., 1, F, T) stack independent rows, and each keeps the bits of its
+    own one-row call. Returns yhat (..., n, T) and, if requested, the
+    activation cache for the backward pass.
     """
     lead = Xin.shape[:-3]
     n, F, T = Xin.shape[-3:]

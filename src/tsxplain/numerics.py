@@ -1,5 +1,6 @@
 """Float64 sigmoid and softmax, seeded RNG streams, and a ridge-stabilized
-weighted least-squares solver.
+weighted least-squares solver, split into a design half and a target half so
+fits that share a design factor it once.
 
 All operations are pure and operate on ``numpy.ndarray`` values in float64.
 Shape checking is explicit so callers get a ``ShapeError`` instead of a silent
@@ -60,21 +61,24 @@ def softmax_axis(m: np.ndarray, axis: str) -> np.ndarray:
     return e
 
 
-def weighted_least_squares(
-    design: np.ndarray,
-    targets: Sequence[float],
-    weights: Sequence[float],
-    ridge: float = 0.0,
-) -> np.ndarray:
-    """Solve argmin_c sum_k w_k (y_k - X_k . c)^2 + ridge * ||c||^2 via the
-    normal equations."""
+@dataclass(frozen=True)
+class NormalEquations:
+    """The target-free half of a weighted least-squares fit: the weighted
+    design Xw = X * w and the matrix A = X^T Xw + ridge * I, checked once."""
+
+    Xw: np.ndarray
+    A: np.ndarray
+
+
+def normal_equations(design: np.ndarray, weights: Sequence[float], ridge: float = 0.0
+                     ) -> NormalEquations:
+    """The design-only terms of ``weighted_least_squares``, for fits that
+    share one design and weights and differ in their targets alone. Raises
+    ``SingularSystemError`` at ridge 0 if A has not full rank."""
     X = as_matrix(design)
-    y = np.asarray(targets, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
-    if X.shape[0] != y.shape[0] or X.shape[0] != w.shape[0]:
-        raise ShapeError(
-            f"rows={X.shape[0]}, targets={y.shape[0]}, weights={w.shape[0]} must agree"
-        )
+    if X.shape[0] != w.shape[0]:
+        raise ShapeError(f"rows={X.shape[0]}, weights={w.shape[0]} must agree")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     if ridge < 0:
@@ -82,18 +86,38 @@ def weighted_least_squares(
 
     Xw = X * w[:, None]
     A = X.T @ Xw
-    b = Xw.T @ y
     A = A + np.diag(np.full(X.shape[1], ridge))
     if ridge == 0.0 and np.linalg.matrix_rank(A) < A.shape[0]:
         raise SingularSystemError(
             "normal equations are singular; pass ridge > 0 to stabilize"
         )
+    return NormalEquations(Xw, A)
+
+
+def solve_normal(eq: NormalEquations, targets: Sequence[float]) -> np.ndarray:
+    """The per-target half of ``weighted_least_squares``: b = Xw^T y, then
+    solve A c = b."""
+    y = np.asarray(targets, dtype=np.float64).ravel()
+    if eq.Xw.shape[0] != y.shape[0]:
+        raise ShapeError(f"rows={eq.Xw.shape[0]}, targets={y.shape[0]} must agree")
+    b = eq.Xw.T @ y
     try:
-        return np.linalg.solve(A, b)
+        return np.linalg.solve(eq.A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "normal equations are singular; pass ridge > 0 to stabilize"
         ) from exc
+
+
+def weighted_least_squares(
+    design: np.ndarray,
+    targets: Sequence[float],
+    weights: Sequence[float],
+    ridge: float = 0.0,
+) -> np.ndarray:
+    """Solve argmin_c sum_k w_k (y_k - X_k . c)^2 + ridge * ||c||^2 via the
+    normal equations: ``solve_normal`` of ``normal_equations``."""
+    return solve_normal(normal_equations(design, weights, ridge), targets)
 
 
 @dataclass(frozen=True)

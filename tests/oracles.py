@@ -4,7 +4,8 @@ per-step concatenation and per-step gradient accumulation, the attention
 pre-activation and weight gradient as the einsums the kernel replaced, coalition
 perturbation one player at a time, IT-SHAP with coalitions built one row at
 a time, each game's rows forwarded in one whole batch and a full game played
-for every explained step, CMI screening that gathers each (feature, step)
+for every explained step, IT-SHAP of each patient on its own (its own draws,
+fit and background forward), CMI screening that gathers each (feature, step)
 cell's samples patient by patient, bins each cell with its own
 ``np.quantile`` call and codes joint alphabets with
 ``np.unique(axis=0)``, CMI screening that makes one entropy call per term
@@ -54,7 +55,10 @@ from tsxplain.data import (
 from tsxplain.errors import ConfigError, DataError, SchemaError, ShapeError
 from tsxplain.evaluation import METRICS, roc_auc_step, sens_spec_step
 from tsxplain.itshap import (
+    _coalitions,
+    _evaluate_coalitions,
     _solve_constrained,
+    _step_output,
     cell_players,
     shap_kernel_weight,
     timestep_players,
@@ -351,6 +355,42 @@ def explain_patient_every_step(model, X, M, B, cfg, stay_length, all_steps=False
         if t == stay_length:
             for j, (f, tau) in enumerate(players):
                 W[f, tau] = weights[j]
+    return W, base
+
+
+def explain_patient_alone(model, X, M, B, cfg, stay_length, all_steps=False):
+    """Cell-mode IT-SHAP of one patient that shares nothing with another:
+    it draws its own coalitions, forwards its full and empty coalitions as
+    two one-row batches, fits its own (K, m - 1) design, and forwards one
+    more row, with every observed cell set to B, for the base values of the
+    earlier steps. Returns (W, base) as ``explain_patient`` does."""
+    X = np.asarray(X, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    F, T = X.shape
+    t = stay_length
+    players = cell_players(M, t)
+
+    def value(Z):
+        return _evaluate_coalitions(model, X, M, t, B, players, "cell", Z, cfg.explain_logit)
+
+    m = len(players)
+    full = float(value(np.ones((1, m), dtype=bool))[0])
+    empty = float(value(np.zeros((1, m), dtype=bool))[0])
+    if m == 0:
+        phi = np.zeros(0)
+    elif m == 1:
+        phi = np.array([full - empty])
+    else:
+        Z, w, ridge = _coalitions(m, cfg, t)
+        phi = _solve_constrained(Z, value(Z), w, empty, full, ridge)
+    W, base = np.zeros((F, T)), np.zeros(T)
+    base[t - 1] = empty
+    for j, (f, tau) in enumerate(players):
+        W[f, tau] = phi[j]
+    if all_steps and t > 1:
+        background = np.where(M == 1.0, B, X * M)
+        yhat = forward_prepared(background[None], model.gru, model.attention)[0]
+        base[: t - 1] = _step_output(yhat, cfg.explain_logit)[: t - 1]
     return W, base
 
 

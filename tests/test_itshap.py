@@ -11,6 +11,7 @@ from tsxplain import itshap
 from tsxplain.errors import ConfigError, DataError
 from tsxplain.itshap import (
     ExplainerConfig,
+    Game,
     _coalitions,
     _solve_constrained,
     aggregate_by_class,
@@ -18,6 +19,7 @@ from tsxplain.itshap import (
     cell_players,
     check_budget,
     explain_patient,
+    explain_patients,
     explain_step,
     shap_kernel_weight,
     shapley_values,
@@ -34,6 +36,7 @@ from oracles import (
     coalition_inputs_by_player,
     coalitions_by_row,
     evaluate_coalitions_whole_batch,
+    explain_patient_alone,
     explain_patient_every_step,
     explain_step_game,
     perturb,
@@ -721,3 +724,103 @@ class TestCoalitionBlocks:
             tracemalloc.stop()
         design = Z.shape[0] * (Z.shape[1] - 1) * 8
         assert peak < 2.5 * design, (peak, design)
+
+
+def _patients_with_keys(keys, n, F, T, seed):
+    """(X, M, stays) of n patients, patient i with the final-step key
+    keys[i % len(keys)] = (stay, players): nothing observed after the stay,
+    and X holding X⊙M, as in a cohort."""
+    gen = RngStream(seed).generator()
+    X, M = gen.normal(size=(n, F, T)), np.zeros((n, F, T), dtype=bool)
+    stays = np.array([keys[i % len(keys)][0] for i in range(n)])
+    for i in range(n):
+        stay, m = keys[i % len(keys)]
+        cells = gen.choice(F * stay, m, replace=False)  # the cells before column stay
+        M[i, cells % F, cells // F] = True
+    return X * M, M, stays
+
+
+class TestSharedGames:
+    """``explain_patients`` plays one ``Game`` per (stay, players) key: each
+    patient's W and base row must keep the bits of the patient explained
+    alone, with its own draws, fit and background forward."""
+
+    REGIMES = {
+        "exact": dict(exact_threshold=12),
+        "sampled": dict(exact_threshold=0, n_samples=48),
+        "mixed": dict(exact_threshold=5, n_samples=40),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), stays=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           shared=st.lists(st.booleans(), min_size=8, max_size=8),
+           regime=st.sampled_from(sorted(REGIMES)), explain_logit=st.booleans(),
+           all_steps=st.booleans(), use_attention=st.booleans())
+    def test_grouped_path_matches_each_patient_alone(self, seed, stays, shared, regime,
+                                                     explain_logit, all_steps, use_attention):
+        F, T, n = 2, 6, len(stays)
+        model = make_model(F=F, H=4, seed=seed % 5, use_attention=use_attention)
+        cfg = ExplainerConfig(explain_logit=explain_logit, seed=seed % 7, **self.REGIMES[regime])
+        gen = RngStream(seed).generator()
+        B = gen.normal(size=(F, T)) * 0.3
+        X, M = gen.normal(size=(n, F, T)), gen.random((n, F, T)) < 0.7
+        stays = np.array(stays)
+        for i in range(1, n):
+            if shared[i]:  # an earlier patient's mask and stay: its key, other values
+                j = int(gen.integers(i))
+                M[i], stays[i] = M[j], stays[j]
+        M &= np.arange(T) < stays[:, None, None]
+        X = X * M
+        W, base = explain_patients(model, X, M, B, cfg, stays, all_steps)
+        for i in range(n):
+            want_W, want_base = explain_patient_alone(model, X[i], M[i], B, cfg, int(stays[i]),
+                                                      all_steps)
+            assert W[i].tobytes() == want_W.tobytes(), i
+            assert base[i].tobytes() == want_base.tobytes(), i
+
+    def test_one_draw_per_key(self, monkeypatch):
+        """12 patients with 4 keys, visited out of key order, draw 4 times."""
+        keys = [(6, 9), (4, 7), (6, 8), (4, 9)]
+        X, M, stays = _patients_with_keys(keys, 12, F=3, T=6, seed=31)
+        drawn, draw = [], itshap._coalitions
+        monkeypatch.setattr(itshap, "_coalitions", lambda m, cfg, seed_index: (
+            drawn.append((seed_index, m)) or draw(m, cfg, seed_index)))
+        model = make_model(F=3, H=4, seed=32)
+        cfg = ExplainerConfig(exact_threshold=0, n_samples=64)
+        explain_patients(model, X, M, np.zeros((3, 6)), cfg, stays)
+        assert sorted(drawn) == sorted(keys)
+
+    def test_one_game_alive_at_a_time(self, monkeypatch):
+        """At each patient's call, at most one game's coalitions and normal
+        equations are held: a cache of every key's game would hold four."""
+        F, T = 4, 10
+        keys = [(T, 30), (T, 31), (T, 32), (T, 33)]
+        X, M, stays = _patients_with_keys(keys, 8, F=F, T=T, seed=33)
+        order = np.argsort([i % 4 for i in range(8)], kind="stable")  # key by key
+        X, M, stays = X[order], M[order], stays[order]
+        cfg = ExplainerConfig(exact_threshold=0, n_samples=4096)
+        game = Game(T, 33, cfg)
+        held_by_one = (game.coalitions[0].nbytes + game.coalitions[1].nbytes
+                       + game.normal.Xw.nbytes + game.normal.A.nbytes)
+        del game
+        model = make_model(F=F, H=4, seed=34)
+        held, explain = [], itshap.explain_patient
+        monkeypatch.setattr(itshap, "explain_patient", lambda *a, **k: held.append(
+            tracemalloc.get_traced_memory()[0]) or explain(*a, **k))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            explain_patients(model, X, M, np.zeros((F, T)), cfg, stays)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 8
+        assert max(held) - start > 0.8 * held_by_one  # a game is held between its patients
+        assert max(held) - start < 1.5 * held_by_one, (max(held) - start, held_by_one)
+
+    def test_game_of_another_key_rejected(self):
+        model = make_model(F=3, H=4, seed=35)
+        X, M, stays = _patients_with_keys([(5, 6)], 1, F=3, T=6, seed=36)
+        cfg = ExplainerConfig()
+        for key in ((4, 6), (5, 7)):
+            with pytest.raises(ValueError, match="cannot explain step 5 with 6 players"):
+                explain_step(model, X[0], M[0], 5, np.zeros((3, 6)), cfg, Game(*key, cfg))

@@ -523,6 +523,26 @@ class TestRowBlocks:
             assert (len(blocks) == 1) == (K <= ROW_BLOCK)
 
 
+    @pytest.mark.parametrize("use_att", [False, True])
+    @pytest.mark.parametrize("H", range(1, 13))
+    def test_one_row_slices_keep_their_bits(self, H, use_att):
+        """IT-SHAP forwards every patient's empty and full coalition rows as
+        one-row slices on the kernel's leading axis, with one set of
+        parameters: numpy runs each slice's matmuls on their own, down the
+        one-row path, so a slice has the bits of its own one-row forward."""
+        F, T = 5, 7
+        model = make_model(F=F, H=H, seed=60 + H, use_attention=use_att)
+        gen = RngStream(61 + H).generator()
+        model.gru.b_z, model.gru.b_r, model.gru.b_h = gen.normal(size=(3, H))
+        model.gru.b_out = float(gen.normal())
+        for S in (1, 2, 3, 64, 129, 130):
+            Xin = gen.normal(size=(S, 1, F, T)) * (gen.random((S, 1, F, T)) < 0.8)
+            got = _forward_core(Xin, model.gru, model.attention)
+            for s in range(S):
+                assert np.array_equal(got[s], forward_prepared(Xin[s], model.gru,
+                                                               model.attention)), (S, s)
+
+
 class TestTrain:
     @pytest.mark.parametrize("use_attention", [False, True])
     def test_cohort_blocks_unwritten(self, use_attention):

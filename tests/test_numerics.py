@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from tsxplain.errors import ShapeError, SingularSystemError
 from tsxplain.numerics import (
     RngStream,
+    normal_equations,
     sigmoid,
     softmax_axis,
+    solve_normal,
     weighted_least_squares,
 )
 
@@ -139,6 +141,20 @@ class TestWeightedLeastSquares:
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(SingularSystemError, match="ridge"):
             weighted_least_squares(X, np.ones(3), np.ones(3), ridge=0.0)
+
+    def test_one_factor_many_targets(self):
+        """Fits that share a design and weights factor them once; each
+        target's solve has the bits of its own whole fit."""
+        gen = RngStream(4).generator()
+        X, w = gen.normal(size=(40, 5)), gen.random(40)
+        eq = normal_equations(X, w, ridge=1e-6)
+        for y in gen.normal(size=(3, 40)):
+            want = weighted_least_squares(X, y, w, ridge=1e-6)
+            assert solve_normal(eq, y).tobytes() == want.tobytes()
+        with pytest.raises(ShapeError):
+            solve_normal(eq, np.ones(39))
+        with pytest.raises(SingularSystemError, match="ridge"):
+            normal_equations(np.ones((3, 2)), np.ones(3), ridge=0.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

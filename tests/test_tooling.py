@@ -95,3 +95,35 @@ def test_traced_attention_train_counts_softmax():
     assert metrics["model.train_calls"] == 1
     assert metrics["numerics.softmax_calls"] > 0
     assert not any(s.name == "model.attention_matrix" for s in tracer.spans)
+
+
+def test_cli_calls_explain_patient_once_per_patient(tmp_path, monkeypatch):
+    """The tracer times IT-SHAP per patient by wrapping ``explain_patient``
+    and reads the config as its fifth positional argument; the CLI makes one
+    such call per explained patient."""
+    import json
+
+    from tsxplain import cli, itshap, model
+    from tsxplain.data import load_cohort
+    from tsxplain.numerics import RngStream
+
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(out), "seeds": [0], "T": 8,
+                               "synth": {"n_patients": 40, "mean_stay": 5.0},
+                               "itshap": {"max_patients": 5, "n_samples": 256}}))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    cohort = load_cohort(out / "cohort.csv", out / "schema.txt", T=8)
+    gru, _ = model.init_params(cohort.F, 3, RngStream(0), use_attention=False)
+    model.save_model(model.TrainedModel(
+        gru=gru, attention=None, schema_fingerprint=model.schema_fingerprint(cohort.schema)),
+        out / "ckpt_gru_seed0.txt")
+    calls, explain = [], itshap.explain_patient
+    monkeypatch.setattr(itshap, "explain_patient",
+                        lambda *a, **k: calls.append(a) or explain(*a, **k))
+    assert cli.main(["explain", "--config", str(cfg), "--method", "itshap"]) == 0
+    assert len(calls) == 5
+    hook = _load_tracing()._explain_patient_attrs
+    for args in calls:
+        assert isinstance(args[4], itshap.ExplainerConfig)
+        assert hook(args, {}, None) == {"mode": "cell"}
